@@ -23,6 +23,13 @@
 //!   (transforms `Match`/`Try`, prepares `DefDef`/`ClassDef`);
 //! * `tailrec` — a sparse single-group plan of `tailRec` alone (transforms
 //!   `DefDef` only);
+//! * `session` — a cold incremental [`mini_driver::CompileSession`] (fused
+//!   options) compiling the whole corpus once. A `session` spec must be
+//!   paired with a standard plan (`ab session fused`): both sides are then
+//!   timed as whole compiles — frontend, transforms and backend, the
+//!   standard side through the one-shot `compile_sources` — and the run
+//!   **fails** unless both produce identical printed trees, VM output,
+//!   findings and `ExecStats`;
 //!
 //! and the modifiers are `+prune` (set `FusionOptions::subtree_pruning`
 //! to `On`), `+autoprune` (`SubtreePruning::Auto` — the per-traversal
@@ -57,7 +64,7 @@
 //! `REPS`/`LOC` prints usage and exits non-zero rather than silently
 //! benchmarking the defaults.
 
-use mini_driver::{standard_plan, CompilerOptions};
+use mini_driver::{compile_sources, standard_plan, CompileSession, Compiled, CompilerOptions};
 use mini_ir::Ctx;
 use miniphase::{
     CompilationUnit, ExecStats, MiniPhase, NoInstrumentation, PhasePlan, Pipeline, SubtreePruning,
@@ -78,6 +85,8 @@ enum Plan {
     Patmat,
     /// `tailRec` alone in one group.
     Tailrec,
+    /// A cold `CompileSession` over the standard fused pipeline.
+    Session,
 }
 
 #[derive(Clone)]
@@ -92,7 +101,7 @@ struct Spec {
 }
 
 const USAGE: &str = "usage: ab [SPEC_B] [SPEC_A] [REPS] [LOC]\n\
-     SPEC    = (fused|mega|legacy|patmat|tailrec)[+prune|+autoprune][+jobsN][+check][+lint][+dce]\n\
+     SPEC    = (fused|mega|legacy|patmat|tailrec|session)[+prune|+autoprune][+jobsN][+check][+lint][+dce]\n\
      REPS    = positive integer (default 16, env REPS)\n\
      LOC     = positive integer (default 12000, env CORPUS_LOC)";
 
@@ -109,6 +118,7 @@ fn parse_spec(s: &str) -> Spec {
         "legacy" => Plan::Legacy,
         "patmat" => Plan::Patmat,
         "tailrec" => Plan::Tailrec,
+        "session" => Plan::Session,
         other => usage_exit(&format!("unknown spec `{other}`")),
     };
     let mut prune = SubtreePruning::Off;
@@ -203,6 +213,59 @@ impl Spec {
             _ => standard_plan(opts).expect("standard plan is valid").1,
         }
     }
+}
+
+/// Everything a whole-compile run must reproduce exactly: printed trees,
+/// VM output, findings and executor counters.
+#[derive(PartialEq)]
+struct Observed {
+    printed: Vec<String>,
+    vm_out: Vec<String>,
+    findings: Vec<String>,
+    exec: ExecStats,
+}
+
+fn observe(c: &Compiled) -> Observed {
+    let printed = c
+        .units
+        .iter()
+        .map(|u| mini_ir::printer::print_tree(&u.tree, &c.ctx.symbols))
+        .collect();
+    let mut vm = mini_backend::Vm::new(&c.program);
+    vm.run_main().expect("benchmark corpus runs");
+    Observed {
+        printed,
+        vm_out: vm.out,
+        findings: c.findings.iter().map(|f| f.to_string()).collect(),
+        exec: c.exec,
+    }
+}
+
+/// One timed whole compile, for pairs involving a `session` spec: a cold
+/// `CompileSession` (staging every source, then one `compile()`) or the
+/// one-shot `compile_sources`, both over the sources in unit-name order
+/// (the session's canonical order). Frontend, transforms and backend are
+/// all under the clock; the VM run that checks the output is not.
+fn run_compile(w: &workload::Workload, spec: &Spec) -> (Duration, Observed) {
+    let opts = spec.compiler_options();
+    let mut sources = w.sources();
+    sources.sort_by_key(|(n, _)| *n);
+    let start = Instant::now();
+    let compiled = if spec.plan == Plan::Session {
+        let mut session = CompileSession::new(opts);
+        for (n, s) in &sources {
+            session.update(*n, *s);
+        }
+        session.compile()
+    } else {
+        compile_sources(&sources, &opts)
+    }
+    .unwrap_or_else(|e| {
+        eprintln!("FAIL: `{}` did not compile the corpus: {e}", spec.label);
+        std::process::exit(1);
+    });
+    let elapsed = start.elapsed();
+    (elapsed, observe(&compiled))
 }
 
 /// One timed run: untimed frontend, then plan construction +
@@ -304,6 +367,24 @@ fn main() {
     let mut diffs: Vec<f64> = Vec::with_capacity(reps);
     let mut stats_a = ExecStats::default();
     let mut stats_b = ExecStats::default();
+    let whole = spec_a.plan == Plan::Session || spec_b.plan == Plan::Session;
+    if whole
+        && [&spec_a, &spec_b]
+            .iter()
+            .any(|s| matches!(s.plan, Plan::Patmat | Plan::Tailrec))
+    {
+        usage_exit("`session` pairs with a standard plan only");
+    }
+    let mut observed: [Option<Observed>; 2] = [None, None];
+    let mut run = |side: usize, spec: &Spec| -> (Duration, ExecStats) {
+        if !whole {
+            return run_once(&w, spec);
+        }
+        let (t, o) = run_compile(&w, spec);
+        let exec = o.exec;
+        observed[side] = Some(o);
+        (t, exec)
+    };
     for rep in 0..reps {
         // Alternate order each repetition to cancel ordering bias.
         let b_first = rep % 2 == 0;
@@ -311,11 +392,11 @@ fn main() {
         let mut t_b = Duration::ZERO;
         for side in 0..2 {
             if (side == 0) == b_first {
-                let (t, s) = run_once(&w, &spec_b);
+                let (t, s) = run(1, &spec_b);
                 t_b = t;
                 stats_b = s;
             } else {
-                let (t, s) = run_once(&w, &spec_a);
+                let (t, s) = run(0, &spec_a);
                 t_a = t;
                 stats_a = s;
             }
@@ -358,6 +439,16 @@ fn main() {
         (b / a - 1.0) * 100.0,
         (median - 1.0) * 100.0
     );
+
+    // A session pair is an equivalence check as much as a timing: the
+    // cold session must compile the corpus to exactly the one-shot output.
+    if whole && observed[0] != observed[1] {
+        eprintln!(
+            "FAIL: `{}` and `{}` disagree on printed trees, VM output, findings or ExecStats",
+            spec_b.label, spec_a.label
+        );
+        std::process::exit(1);
+    }
 
     // Specs that differ only in `jobs` and/or `check` (same plan, same
     // pruning, same lint) must report identical executor counters — the

@@ -55,7 +55,7 @@ use crate::fused::{Fused, FusionOptions, SubtreePruning};
 use crate::mini::{dispatch_prepare, dispatch_transform, MiniPhase};
 use crate::plan::PhasePlan;
 use crate::unit::CompilationUnit;
-use mini_ir::{Ctx, NodeKindSet, Span, Tree, TreeRef};
+use mini_ir::{Ctx, InfoPlan, NodeKindSet, Span, Tree, TreeRef};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -486,6 +486,9 @@ fn walk_eager<D: PhaseDriver>(
 /// Runs one Miniphase (possibly a [`Fused`] block) over one compilation
 /// unit: `prepare_unit`, the iterative post-order traversal, then
 /// `transform_unit`.
+///
+/// Installs no info transformers and leaves the symbol table's period as it
+/// is; [`Pipeline`] is the executor that advances periods.
 pub fn run_phase_on_unit(
     phase: &mut dyn MiniPhase,
     opts: &FusionOptions,
@@ -630,10 +633,33 @@ pub fn run_phase_on_unit_reference(
     }
 }
 
+/// The info transformers of `phases` in the order `plan` runs them, and the
+/// period each group of `plan` runs at: group `g` sees every transformer
+/// of groups `0..=g` applied (see [`mini_ir::SymbolTable::info_at`]). The
+/// last entry is the final period, at which the backend reads the table.
+pub fn info_periods(phases: &[Box<dyn MiniPhase>], plan: &PhasePlan) -> (Arc<InfoPlan>, Vec<u8>) {
+    let mut transforms = Vec::new();
+    let mut periods = Vec::with_capacity(plan.groups.len());
+    for group in &plan.groups {
+        for &i in group {
+            if let Some(f) = phases[i].info_transformer() {
+                transforms.push((phases[i].name(), f));
+            }
+        }
+        periods.push(transforms.len() as u8);
+    }
+    (Arc::new(InfoPlan::new(transforms)), periods)
+}
+
 /// A ready-to-run tree-transformation pipeline: the phases grouped per a
 /// [`PhasePlan`], each group fused into a single traversal.
 pub struct Pipeline {
     groups: Vec<Fused>,
+    /// The phases' info transformers, installed on the symbol table of
+    /// every context the pipeline runs on.
+    info_plan: Arc<InfoPlan>,
+    /// Per group: the table period it runs at.
+    group_periods: Vec<u8>,
     opts: FusionOptions,
     /// Dynamic postcondition checking between groups (§6.3). Roughly a 1.5×
     /// slowdown in the paper; intended for test runs.
@@ -688,6 +714,7 @@ impl Pipeline {
             phases.len(),
             "plan does not match phase list"
         );
+        let (info_plan, group_periods) = info_periods(&phases, plan);
         let mut slots: Vec<Option<Box<dyn MiniPhase>>> = phases.into_iter().map(Some).collect();
         let mut groups = Vec::with_capacity(plan.groups.len());
         for g in &plan.groups {
@@ -699,6 +726,8 @@ impl Pipeline {
         }
         Pipeline {
             groups,
+            info_plan,
+            group_periods,
             opts,
             check: false,
             stats: ExecStats::default(),
@@ -747,6 +776,15 @@ impl Pipeline {
         &self.groups
     }
 
+    /// Moves `ctx`'s symbol table to the period group `gi` runs at,
+    /// installing this pipeline's info transformers first if needed.
+    fn enter_group(&self, ctx: &mut Ctx, gi: usize) {
+        if !Arc::ptr_eq(ctx.symbols.info_plan(), &self.info_plan) {
+            ctx.symbols.set_info_plan(Arc::clone(&self.info_plan));
+        }
+        ctx.symbols.set_period(self.group_periods[gi]);
+    }
+
     /// Runs group `gi` over one unit through the statically dispatched fused
     /// driver, reusing the pipeline's scratch stacks.
     fn run_group_on_unit(
@@ -757,6 +795,7 @@ impl Pipeline {
         stats: &mut ExecStats,
     ) -> CompilationUnit {
         let opts = self.opts;
+        self.enter_group(ctx, gi);
         let Pipeline {
             groups, scratch, ..
         } = self;
@@ -823,6 +862,7 @@ impl Pipeline {
             let mut found_row = Vec::new();
             for (ui, u) in units.into_iter().enumerate() {
                 let mut stats = ExecStats::default();
+                self.enter_group(ctx, gi);
                 ctx.swap_fresh_scope(&mut fresh_scopes[ui]);
                 let out = run_phase_on_unit_reference(
                     &mut self.groups[gi],

@@ -105,7 +105,7 @@ pub mod plan;
 mod unit;
 
 pub use checker::{check_unit, sort_findings, CheckFailure, Finding, Severity};
-pub use executor::{run_phase_on_unit, ExecStats, Pipeline, TRAVERSAL_CODE_ADDR};
+pub use executor::{info_periods, run_phase_on_unit, ExecStats, Pipeline, TRAVERSAL_CODE_ADDR};
 pub use faults::{FaultKind, FaultPlan, InternalFault, RunControls, UNLIMITED_SHOTS};
 pub use fused::{Fused, FusionOptions, SubtreePruning};
 pub use mini::{dispatch_prepare, dispatch_transform, synthetic_code_addr, MiniPhase, PhaseInfo};

@@ -28,7 +28,7 @@
 //! node's kind in between. Phases therefore implement ancestor-dependent
 //! state as an explicit push in `prepare_*` / pop in `finish_prepared`.
 
-use mini_ir::{Ctx, NodeKind, NodeKindSet, TreeRef};
+use mini_ir::{Ctx, InfoTransform, NodeKind, NodeKindSet, TreeRef};
 
 /// Options shared by every Miniphase (full-phase counterpart of the paper's
 /// `Phase` class, Listing 4).
@@ -74,6 +74,25 @@ macro_rules! define_mini_phase {
             /// constraints force fusion-group boundaries.
             fn runs_after_groups_of(&self) -> Vec<&'static str> {
                 Vec::new()
+            }
+
+            /// This phase's symbol-info transformer, if it changes the
+            /// types of symbols and not only of trees (Dotty's
+            /// `InfoTransformer`): the function maps a symbol's info and
+            /// parents as seen before the phase to those seen after it.
+            ///
+            /// The phase never rewrites the symbol table itself. The
+            /// executor installs the transformers of a pipeline on the
+            /// table ([`mini_ir::SymbolTable::set_info_plan`]) and advances
+            /// the table's *period* at each group start, so from the start
+            /// of this phase's group on, [`mini_ir::SymbolTable::info`]
+            /// shows every symbol as transformed — computed on first read
+            /// and memoized (see [`mini_ir::SymbolTable::info_at`] for
+            /// periods, memoization and invalidation). Members of the same
+            /// group see the transformed infos too, as they would have if
+            /// the phase had rewritten the table in `prepare_unit`.
+            fn info_transformer(&self) -> Option<InfoTransform> {
+                None
             }
 
             /// Initializes per-unit state (§4.2, `compilationUnitPrepare`).

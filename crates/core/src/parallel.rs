@@ -59,8 +59,9 @@
 //! With `check` on, each chunk runs the between-group tree checker
 //! ([`crate::check_unit`]) against its **own private context** — checker
 //! reads resolve in the fork exactly as they would in the shared
-//! sequential table, because whole-table symbol sweeps run per chunk and
-//! per-unit mutations only touch symbols the unit owns. Findings are
+//! sequential table, because symbol infos are derived per period on read
+//! (see [`mini_ir::SymbolTable::info_at`]) and per-unit mutations only
+//! touch symbols the unit owns. Findings are
 //! recorded per (group, unit) and re-sequenced at the fan-in
 //! **group-major, then unit order**: the merged failure list is
 //! byte-identical (content *and* order) to the sequential pipeline's, so
@@ -92,7 +93,7 @@
 //! order.
 
 use crate::checker::{CheckFailure, Finding};
-use crate::executor::{ExecStats, Pipeline};
+use crate::executor::{info_periods, ExecStats, Pipeline};
 use crate::faults::{self, InternalFault, RunControls};
 use crate::fused::FusionOptions;
 use crate::mini::MiniPhase;
@@ -712,6 +713,11 @@ where
             worker_data.push(data);
         }
     }
+    // The merged table now holds what every chunk wrote at its periods;
+    // the backend reads it at the final period, like after a sequential run.
+    let (info_plan, periods) = info_periods(&make_phases(), plan);
+    ctx.symbols.set_info_plan(info_plan);
+    ctx.symbols.set_period(periods.last().copied().unwrap_or(0));
     // Ranges stay consumed even when a chunk panicked mid-allocation: the
     // next batch must not reuse a range a dead fork may have touched.
     ctx.advance_watermarks(
@@ -1156,7 +1162,7 @@ mod tests {
                 .map(|u| mini_ir::printer::print_tree(&u.tree, &ctx.symbols))
                 .collect();
             // Every created symbol resolves through the merged table, and
-            // the sweep order stays strictly ascending.
+            // `ids()` stays strictly ascending.
             let ids: Vec<u32> = ctx.symbols.ids().map(|s| s.index()).collect();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascending");
             for id in ctx.symbols.ids() {

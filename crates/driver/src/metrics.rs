@@ -8,7 +8,7 @@
 //! transformation pipeline is instrumented, matching the paper's isolation
 //! of the middle phases from the front end and code generator (§5.3).
 
-use crate::{standard_plan, CompileError, CompilerOptions, StageTimes};
+use crate::{phase_factory, standard_plan, CompileError, CompilerOptions, StageTimes};
 use cache_sim::{CacheConfig, Counters, CycleModel, Hierarchy, Kind};
 use gc_sim::{GcConfig, GcSim, GcStats};
 use mini_ir::{trace, AccessSink, AllocStats, Ctx, NodeId};
@@ -289,6 +289,8 @@ pub fn measure(
             // Parallel measured run: one simulator pair per chunk (installed
             // after the trees are imported, so the streams cover the transform
             // pipeline only, as below), counters fanned back in in unit order.
+            // Chunks build the same phase list as `plan` (analysis prefix
+            // included), inside the controlled executor's panic fence.
             drop(phases);
             let sims = PerWorkerSims {
                 gc: instr.gc,
@@ -297,17 +299,22 @@ pub fn measure(
                 cache_config,
             };
             let tr_start = Instant::now();
-            let run = miniphase::run_units_parallel(
+            let run = miniphase::run_units_parallel_controlled(
                 &mut ctx,
-                &mini_phases::standard_pipeline,
+                &phase_factory(opts.lint, opts.dce),
                 &plan,
                 opts.fusion,
                 units,
                 opts.effective_jobs(),
                 opts.check,
                 &sims,
+                miniphase::ParallelTuning::default(),
+                &miniphase::RunControls::default(),
             );
             let transforms = tr_start.elapsed();
+            if let Some(fault) = run.faults.into_iter().next() {
+                return Err(fault.into());
+            }
             let mut gc_stats = GcStats::default();
             let mut counters = Counters::default();
             let mut alloc = AllocStats::default();

@@ -19,10 +19,10 @@
 //!    [`Ctx`] that only the namer/typer ever mutates. The transform
 //!    pipeline runs on **copy-on-write forks** of it
 //!    ([`miniphase::run_units_isolated`], one fork per unit) and *nothing
-//!    is adopted back*: phase mutations (erasure's whole-table info sweep,
-//!    getter synthesis, lambda lifting) must never leak into the symbol
-//!    state a later edit's typing observes, or an incremental re-type would
-//!    see post-pipeline types where a batch compile sees frontend types.
+//!    is adopted back*: phase mutations (getter synthesis, lambda
+//!    lifting) must never leak into the symbol state a later edit's typing
+//!    observes, or an incremental re-type would see post-pipeline types
+//!    where a batch compile sees frontend types.
 //!
 //! 2. **Stable symbol identity across edits.** Re-typing an edited unit
 //!    goes through the typer's redefinition mode
@@ -47,13 +47,15 @@
 //! 4. **Delta splicing instead of table mutation.** `compile()` assembles
 //!    the program table by cloning the pristine frontend table (cheap —
 //!    `Arc`-shared) and adopting every live unit's cached delta in unit
-//!    order. Cached deltas are **filtered at cache time** down to the
-//!    symbols the unit owns (plus the builtin region and the root
-//!    package's append-only decls): whole-table sweeps also touch *other*
-//!    units' symbols, and those residues would go stale — and poison the
-//!    rebuild — the moment their owner is re-typed. Every unit's own delta
-//!    carries its own sweep results, so the union over live units is
-//!    complete.
+//!    order, then reading it at the pipeline's final period. A unit's
+//!    delta mutates only the symbols the unit owns (plus the builtin
+//!    region and the root package's append-only decls; debug builds assert
+//!    this at cache time): the info transformers — `ElimRepeated`,
+//!    `ElimByName`, `Erasure` — never rewrite the table, their view of
+//!    every symbol is derived on read
+//!    ([`mini_ir::SymbolTable::info_at`]). A mutation of *another* unit's
+//!    symbol would go stale — and poison the rebuild — the moment its
+//!    owner is re-typed.
 //!
 //! Determinism: a session compile after any edit series is byte-identical
 //! — printed trees, VM output, checker findings, merged `ExecStats` — to a
@@ -235,7 +237,7 @@ struct UnitArtifact {
     /// results without re-traversing — per-unit scoping of every rule is
     /// what makes this sound.
     findings_by_group: Vec<Vec<Finding>>,
-    /// Filtered symbol-table delta (this unit's own symbols, builtins,
+    /// Symbol-table delta (this unit's own symbols, builtins,
     /// root-package appends).
     delta: SymbolDelta,
     /// Compile sequence number the artifact was (re)built in — the age key
@@ -308,7 +310,8 @@ pub struct CompileSession {
     node_cursor: u64,
     heap_cursor: u64,
     /// Symbols below this index are builtins (created by `SymbolTable::new`
-    /// before any unit) — their sweep mutations are kept in every delta.
+    /// before any unit) — the only symbols outside its own that a unit's
+    /// pipeline may mutate.
     builtin_len: u32,
     stats: CacheStats,
     /// A failed compile may leave the frontend half-updated; the next
@@ -639,7 +642,10 @@ impl CompileSession {
 
         // ---- transform pipeline over the dirty set ----------------------
         let (phases, plan) = standard_plan(&self.opts)?;
-        drop(phases); // per-unit forks build their own instances
+        // Per-unit forks build their own instances; the assembled table
+        // below needs only the info transformers.
+        let (info_plan, periods) = miniphase::info_periods(&phases, &plan);
+        drop(phases);
         let groups = plan.group_count();
         let tr_start = Instant::now();
         let effective_jobs = self.opts.effective_jobs().min(dirty.len()).max(1);
@@ -788,6 +794,10 @@ impl CompileSession {
             // are a verdict on the program, not on the session state.
             return Err(CompileError::Check(failures));
         }
+        // The deltas hold what each unit's fork wrote at its periods; the
+        // backend reads the assembled table at the final period.
+        table.set_info_plan(info_plan);
+        table.set_period(periods.last().copied().unwrap_or(0));
         let mut backend_ctx = Ctx::new();
         backend_ctx.options = self.front.options;
         backend_ctx.symbols = table;
@@ -857,12 +867,21 @@ impl CompileSession {
         slot: (u32, u32),
     ) {
         let deps = self.dep_map(name, typed);
-        let key = self.shared_key(name, typed);
+        // The store key walks the whole typed tree; only a publish needs it.
+        let key = self.shared.is_some().then(|| self.shared_key(name, typed));
         let stamp = self.compile_seq;
         let config_fp = self.config_fp;
         let state = self.units.get_mut(name).expect("dirty unit exists");
-        let top_set: HashSet<SymbolId> = state.top_syms.iter().copied().collect();
-        let delta = filter_unit_delta(run.delta, &self.front.symbols, &top_set, self.builtin_len);
+        let delta = run.delta;
+        debug_assert!(
+            delta_is_unit_local(
+                &delta,
+                &self.front.symbols,
+                &state.top_syms,
+                self.builtin_len
+            ),
+            "unit {name}'s pipeline mutated another unit's symbols"
+        );
         let (slot_floor, slot_cap) = slot;
         let sym_range = (slot_floor, delta.max_id_end().max(slot_floor));
         // Modelled artifact footprint: tree nodes dominate; 64 bytes is the
@@ -887,7 +906,7 @@ impl CompileSession {
         // slots, so a contiguous `[floor, hi)` range would overstate (and
         // falsely conflict with) their footprint. At 65k fresh symbols per
         // unit this is a theoretical path.
-        if let Some((store, tenant)) = self.shared.clone() {
+        if let (Some((store, tenant)), Some(key)) = (self.shared.clone(), key) {
             let overflowed = sym_range.1 > slot_floor.saturating_add(slot_cap);
             if !overflowed {
                 let a = state.cached.as_ref().expect("cached just above");
@@ -1135,24 +1154,23 @@ fn config_fingerprint(opts: &CompilerOptions) -> u64 {
     h.finish()
 }
 
-/// Filters a unit's pipeline delta down to the entries that stay valid for
-/// the unit's whole cache lifetime: mutations of symbols the unit owns
-/// (frontend owner chain leads to one of its top-levels), of builtins
-/// (mutated identically by every unit's whole-table sweeps), and of the
-/// root package (append-only decls merges). Sweep residue over *other*
-/// units' symbols is dropped — each unit's own delta re-creates it, and
-/// keeping it would let a stale value overwrite a re-typed dep's fresh one
-/// during table splicing.
-fn filter_unit_delta(
-    mut delta: SymbolDelta,
+/// True when a unit's pipeline delta mutated only symbols whose entries
+/// stay valid for the unit's whole cache lifetime: the unit's own (the
+/// frontend owner chain leads to one of its top-levels) and builtins (the
+/// root package gains decls). Info transformers never write the table, so
+/// a well-behaved pipeline touches nothing else; a mutation of another
+/// unit's symbol would go stale — and poison table splicing — the moment
+/// that unit is re-typed.
+fn delta_is_unit_local(
+    delta: &SymbolDelta,
     front: &SymbolTable,
-    top_set: &HashSet<SymbolId>,
+    top_syms: &[SymbolId],
     builtin_len: u32,
-) -> SymbolDelta {
+) -> bool {
     let owned_by_unit = |id: SymbolId| -> bool {
         let mut cur = id;
         for _ in 0..64 {
-            if top_set.contains(&cur) {
+            if top_syms.contains(&cur) {
                 return true;
             }
             let owner = front.sym(cur).owner;
@@ -1163,8 +1181,9 @@ fn filter_unit_delta(
         }
         false
     };
-    delta.retain_dirty(|id, _| id.index() < builtin_len || owned_by_unit(id));
     delta
+        .dirty_entries()
+        .all(|(id, _)| id.index() < builtin_len || owned_by_unit(id))
 }
 
 #[cfg(test)]

@@ -86,7 +86,7 @@ pub struct StoredArtifact {
     /// tree only, but key determinism (same key ⇒ same compile ⇒ same
     /// findings) makes replaying cached findings output-neutral.
     pub findings_by_group: Vec<Vec<Finding>>,
-    /// Filtered symbol delta (the unit's own symbols, builtins, root-pkg
+    /// The unit's symbol delta (its own symbols, builtins, root-pkg
     /// appends — exactly what a session splices).
     pub delta: SymbolDelta,
     /// `[lo, hi)` symbol-id range the delta's fresh symbols occupy. The

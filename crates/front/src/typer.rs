@@ -207,7 +207,7 @@ impl<'a> Typer<'a> {
                 if self.ctx.symbols.sym(e).kind == SymKind::Term {
                     let d = self.ctx.symbols.sym_mut(e);
                     d.flags = flags;
-                    d.info = info;
+                    d.set_info(info);
                     d.span = span;
                     d.decls.clear();
                     d.tparams.clear();
@@ -295,7 +295,7 @@ impl<'a> Typer<'a> {
                 let d = self.ctx.symbols.sym_mut(e);
                 d.flags = flags;
                 d.span = c.span;
-                d.parents = Vec::new();
+                d.set_parents(Vec::new());
                 d.tparams = Vec::new();
                 e
             }
@@ -374,7 +374,7 @@ impl<'a> Typer<'a> {
                 let pd = self.ctx.symbols.sym(ps);
                 if !pd.flags.is(Flags::TRAIT) {
                     if let Some(pctor) = self.ctx.symbols.decl(ps, std_names::init()) {
-                        if self.ctx.symbols.sym(pctor).info.param_count() != 0 {
+                        if self.ctx.symbols.info(pctor).param_count() != 0 {
                             self.error(
                                 c.span,
                                 "parent classes with constructor parameters are not supported",
@@ -384,7 +384,7 @@ impl<'a> Typer<'a> {
                 }
             }
         }
-        self.ctx.symbols.sym_mut(sym).parents = parents;
+        self.ctx.symbols.sym_mut(sym).set_parents(parents);
 
         if c.is_trait && !c.params.is_empty() {
             self.error(c.span, "traits cannot have constructor parameters");
@@ -521,7 +521,7 @@ impl<'a> Typer<'a> {
                 // nothing another unit can reference.
                 let data = self.ctx.symbols.sym_mut(e);
                 data.flags = flags;
-                data.info = Type::NoType;
+                data.set_info(Type::NoType);
                 data.span = d.span;
                 data.decls.clear();
                 data.tparams.clear();
@@ -610,7 +610,7 @@ impl<'a> Typer<'a> {
                 underlying: Box::new(mtype),
             }
         };
-        self.ctx.symbols.sym_mut(sym).info = info;
+        self.ctx.symbols.sym_mut(sym).set_info(info);
         if d.paramss.is_empty() {
             self.params_of.insert(sym, vec![Vec::new()]);
         } else {
@@ -740,7 +740,7 @@ impl<'a> Typer<'a> {
                     let Some(m) = self.ctx.symbols.decl(sym, v.name) else {
                         continue;
                     };
-                    let expected = self.ctx.symbols.sym(m).info.clone();
+                    let expected = self.ctx.symbols.info(m).into_owned();
                     let rhs = self.type_expr(&v.rhs, Some(&expected));
                     self.check_conforms(rhs.tpe(), &expected, v.span);
                     body.push(
@@ -779,7 +779,7 @@ impl<'a> Typer<'a> {
     }
 
     fn type_def(&mut self, sym: SymbolId, d: &SDef) -> TreeRef {
-        let info = self.ctx.symbols.sym(sym).info.clone();
+        let info = self.ctx.symbols.info(sym).into_owned();
         let tparams = self.ctx.symbols.sym(sym).tparams.clone();
         let tmap: HashMap<Name, SymbolId> = tparams
             .iter()
@@ -883,7 +883,7 @@ impl<'a> Typer<'a> {
     fn type_ident(&mut self, name: Name, span: Span, fun_position: bool) -> TreeRef {
         // 1. Locals and parameters.
         if let Some(sym) = self.lookup_local(name) {
-            let mut tpe = self.ctx.symbols.sym(sym).info.clone();
+            let mut tpe = self.ctx.symbols.info(sym).into_owned();
             // Uses of repeated parameters see an array.
             if let Type::Repeated(e) = &tpe {
                 tpe = Type::Array(e.clone());
@@ -916,7 +916,7 @@ impl<'a> Typer<'a> {
                 // Package-scope value resolution: a cross-unit dependency
                 // root (filtered by the session).
                 self.pkg_refs.push(d);
-                let tpe = self.ctx.symbols.sym(d).info.clone();
+                let tpe = self.ctx.symbols.info(d).into_owned();
                 let t = self.ctx.mk(TreeKind::Ident { sym: d }, tpe, span);
                 return self.adapt(t, fun_position);
             }
@@ -1050,7 +1050,7 @@ impl<'a> Typer<'a> {
                 let Some(&m) = self.method_stack.last() else {
                     return self.error_tree(*span, "return outside of a method");
                 };
-                let ret_t = self.ctx.symbols.sym(m).info.final_result().clone();
+                let ret_t = self.ctx.symbols.info(m).final_result().clone();
                 let v = match inner {
                     Some(i) => {
                         let t = self.type_expr(i, Some(&ret_t));
@@ -1201,7 +1201,7 @@ impl<'a> Typer<'a> {
             };
             for base in self.ctx.symbols.linearization(cls).into_iter().skip(1) {
                 if let Some(m) = self.ctx.symbols.decl(base, name) {
-                    let info = self.ctx.symbols.sym(m).info.clone();
+                    let info = self.ctx.symbols.info(m).into_owned();
                     let sup_t = self.ctx.symbols.class_type(base);
                     let sup = self.ctx.mk(TreeKind::Super { cls }, sup_t, *sspan);
                     let sel = self.ctx.mk(
@@ -1490,7 +1490,7 @@ impl<'a> Typer<'a> {
                     return self.error_tree(span, "class has no constructor");
                 };
                 let tps = self.ctx.symbols.sym(*sym).tparams.clone();
-                let info = self.ctx.symbols.sym(ctor).info.clone().subst(&tps, targs);
+                let info = self.ctx.symbols.info(ctor).into_owned().subst(&tps, targs);
                 let new_node = self
                     .ctx
                     .mk(TreeKind::New { tpe: t.clone() }, t.clone(), span);

@@ -535,7 +535,7 @@ impl Ctx {
 
     /// A reference to `sym`, typed with the symbol's info.
     pub fn ident(&mut self, sym: SymbolId) -> TreeRef {
-        let tpe = self.symbols.sym(sym).info.clone();
+        let tpe = self.symbols.info(sym).into_owned();
         self.mk(TreeKind::Ident { sym }, tpe, Span::SYNTHETIC)
     }
 

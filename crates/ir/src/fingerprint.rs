@@ -379,12 +379,12 @@ fn hash_symbol_surface(h: &mut Fnv64, symbols: &SymbolTable, sym: SymbolId) {
     h.str(d.name.as_str());
     h.u8(kind_tag(d.kind));
     h.u32(d.flags.bits());
-    h.str(&print_type(&d.info, symbols));
+    h.str(&print_type(&symbols.info(sym), symbols));
     h.u64(d.tparams.len() as u64);
     for &tp in &d.tparams {
         h.str(sym_name_str(symbols, tp));
     }
-    for p in &d.parents {
+    for p in symbols.parents(sym).iter() {
         h.str(&print_type(p, symbols));
     }
     if d.kind == SymKind::Class {
@@ -407,7 +407,7 @@ fn hash_symbol_surface(h: &mut Fnv64, symbols: &SymbolTable, sym: SymbolId) {
             h.str(md.name.as_str());
             h.u8(kind_tag(md.kind));
             h.u32(md.flags.bits());
-            h.str(&print_type(&md.info, symbols));
+            h.str(&print_type(&symbols.info(m), symbols));
         }
     }
 }

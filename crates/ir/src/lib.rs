@@ -44,7 +44,10 @@ pub use ctx::{AccessSink, AllocStats, Ctx, Diagnostic, IrOptions};
 pub use flags::Flags;
 pub use names::{std_names, Name};
 pub use span::Span;
-pub use symbol::{Builtins, ShardGrowth, SymKind, SymbolData, SymbolDelta, SymbolId, SymbolTable};
+pub use symbol::{
+    Builtins, InfoPlan, InfoTransform, ShardGrowth, SymKind, SymbolData, SymbolDelta, SymbolId,
+    SymbolTable,
+};
 pub use tree::{
     Kids, NodeId, NodeKind, NodeKindSet, Tree, TreeKind, TreeRef, ALL_NODE_KINDS, NODE_KIND_COUNT,
 };

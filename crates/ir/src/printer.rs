@@ -340,7 +340,7 @@ impl Printer<'_> {
                 }
                 self.out.push_str(&self.name_of(*sym));
                 self.out.push_str(": ");
-                let t = self.type_str(&self.symbols.sym(*sym).info);
+                let t = self.type_str(&self.symbols.info(*sym));
                 self.out.push_str(&t);
                 if !rhs.is_empty_tree() {
                     self.out.push_str(" = ");
@@ -356,7 +356,7 @@ impl Printer<'_> {
                     self.out.push(')');
                 }
                 self.out.push_str(": ");
-                let t = self.type_str(self.symbols.sym(*sym).info.final_result());
+                let t = self.type_str(self.symbols.info(*sym).final_result());
                 self.out.push_str(&t);
                 if !rhs.is_empty_tree() {
                     self.out.push_str(" = ");

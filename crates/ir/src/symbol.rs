@@ -10,9 +10,10 @@ use crate::flags::Flags;
 use crate::names::{std_names, Name};
 use crate::span::Span;
 use crate::types::Type;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A compact handle identifying one definition.
 ///
@@ -67,6 +68,13 @@ pub enum SymKind {
 }
 
 /// The data stored for one symbol.
+///
+/// `info` and `parents` are private: they hold the values as written at
+/// the symbol's write *period* (see [`SymbolTable::info_at`]), which later
+/// info transformers may still rewrite. Read them through
+/// [`SymbolTable::info`] / [`SymbolTable::parents`]; write them through
+/// [`SymbolTable::sym_mut`] and [`SymbolData::set_info`] /
+/// [`SymbolData::set_parents`].
 #[derive(Clone, Debug)]
 pub struct SymbolData {
     /// The definition's name.
@@ -79,15 +87,179 @@ pub struct SymbolData {
     pub kind: SymKind,
     /// The symbol's type: a method type for `def`s, the value type for
     /// `val`s. `NoType` for packages.
-    pub info: Type,
+    info: Type,
     /// Source location of the definition.
     pub span: Span,
     /// Class only: parent types, superclass first.
-    pub parents: Vec<Type>,
+    parents: Vec<Type>,
     /// Class/package only: member symbols in declaration order.
     pub decls: Vec<SymbolId>,
     /// Class only: type parameters.
     pub tparams: Vec<SymbolId>,
+    /// The period `info` and `parents` were written at: the info
+    /// transformers below it are already applied to them.
+    period: u8,
+    /// Cached `info_at` results for periods above `period`.
+    memo: InfoMemo,
+}
+
+impl SymbolData {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        name: Name,
+        flags: Flags,
+        owner: SymbolId,
+        kind: SymKind,
+        info: Type,
+        parents: Vec<Type>,
+        tparams: Vec<SymbolId>,
+        period: u8,
+    ) -> SymbolData {
+        SymbolData {
+            name,
+            flags,
+            owner,
+            kind,
+            info,
+            span: Span::SYNTHETIC,
+            parents,
+            decls: Vec::new(),
+            tparams,
+            period,
+            memo: InfoMemo::default(),
+        }
+    }
+
+    /// Replaces the symbol's info. On data obtained from
+    /// [`SymbolTable::sym_mut`] the new value is recorded at the table's
+    /// current period: transformers of later periods still apply to it.
+    pub fn set_info(&mut self, info: Type) {
+        self.info = info;
+    }
+
+    /// Replaces the symbol's parents (same period rule as
+    /// [`SymbolData::set_info`]).
+    pub fn set_parents(&mut self, parents: Vec<Type>) {
+        self.parents = parents;
+    }
+}
+
+/// A phase's symbol-info transformer — Dotty's `InfoTransformer`. Given a
+/// symbol and its info and parents *as seen before* the phase, it returns
+/// the info and parents *as seen after* the phase, or `None` when the
+/// phase leaves the symbol unchanged.
+///
+/// The table applies transformers lazily and caches their results on the
+/// symbol, shared by every fork and clone of the table (see
+/// [`SymbolTable::info_at`]). A transformer must therefore be a pure
+/// function of its arguments: it may consult the table's builtins, but
+/// its result must not depend on other symbols' per-fork state.
+pub type InfoTransform = fn(&SymbolData, &Type, &[Type], &SymbolTable) -> Option<(Type, Vec<Type>)>;
+
+/// The info transformers of one pipeline, in the order their phase groups
+/// start. Transformer `k` separates period `k` from period `k + 1`.
+#[derive(Clone, Debug, Default)]
+pub struct InfoPlan {
+    transforms: Vec<InfoTransform>,
+    /// Identifies the transformer list, so that memo entries computed under
+    /// another plan are never read under this one.
+    key: u64,
+}
+
+impl InfoPlan {
+    /// A plan over `(phase name, transformer)` pairs in pipeline order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 255 transformers (periods are `u8`).
+    pub fn new(transforms: Vec<(&str, InfoTransform)>) -> InfoPlan {
+        assert!(
+            transforms.len() <= usize::from(u8::MAX),
+            "too many info transformers"
+        );
+        let mut key: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |bytes: &[u8]| {
+            for &b in bytes {
+                key ^= u64::from(b);
+                key = key.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (name, f) in &transforms {
+            mix(name.as_bytes());
+            mix(&(*f as usize).to_le_bytes());
+        }
+        InfoPlan {
+            transforms: transforms.into_iter().map(|(_, f)| f).collect(),
+            key,
+        }
+    }
+
+    /// Number of transformers = the final period.
+    pub fn len(&self) -> usize {
+        self.transforms.len()
+    }
+
+    /// True when the plan transforms no info.
+    pub fn is_empty(&self) -> bool {
+        self.transforms.is_empty()
+    }
+}
+
+/// Memo slot `k`: the symbol's info and parents as seen at period `k + 1`,
+/// or `None` while they still equal the stored ones (most symbols pass
+/// most transformers unchanged, so the value is boxed). A read at any
+/// period is one slot lookup.
+type MemoSlot = OnceLock<Option<Box<(Type, Vec<Type>)>>>;
+
+/// A symbol's cached `info_at` results, one slot per transformer of the
+/// plan whose key tags them. Allocated on the first read above the
+/// symbol's write period. A clone is empty: the memo is a cache, and a
+/// cloned symbol is about to diverge from the original.
+#[derive(Default)]
+struct InfoMemo(OnceLock<(u64, Box<[MemoSlot]>)>);
+
+impl InfoMemo {
+    /// The slots for `plan`, or `None` if another plan already owns them.
+    fn slots(&self, plan: &InfoPlan) -> Option<&[MemoSlot]> {
+        let (key, slots) = self
+            .0
+            .get_or_init(|| (plan.key, (0..plan.len()).map(|_| OnceLock::new()).collect()));
+        (*key == plan.key).then_some(&slots[..])
+    }
+}
+
+impl Clone for InfoMemo {
+    fn clone(&self) -> InfoMemo {
+        InfoMemo::default()
+    }
+}
+
+impl fmt::Debug for InfoMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("InfoMemo")
+    }
+}
+
+/// A symbol's info and parents as seen at some period.
+enum Seen<'a> {
+    Borrowed(&'a Type, &'a [Type]),
+    Owned(Type, Vec<Type>),
+}
+
+impl Seen<'_> {
+    fn get(&self) -> (&Type, &[Type]) {
+        match self {
+            Seen::Borrowed(i, p) => (i, p),
+            Seen::Owned(i, p) => (i, p),
+        }
+    }
+
+    fn into_owned(self) -> (Type, Vec<Type>) {
+        match self {
+            Seen::Borrowed(i, p) => (i.clone(), p.to_vec()),
+            Seen::Owned(i, p) => (i, p),
+        }
+    }
 }
 
 /// Well-known symbols created at table construction.
@@ -206,17 +378,6 @@ impl SymbolDelta {
     pub fn dirty_entries(&self) -> impl Iterator<Item = (SymbolId, &SymbolData)> {
         self.dirty.iter().map(|(id, _, fin)| (*id, fin))
     }
-
-    /// Drops every dirty (mutated pre-fork symbol) entry for which `keep`
-    /// returns false; `keep` receives the id and the recorded final value.
-    /// Compile sessions use this to discard a cached unit's whole-table
-    /// sweep residue over *other* units' symbols — entries that would go
-    /// stale (and poison a later table rebuild) as soon as those units are
-    /// re-typed. New-symbol shards are never filtered: their ids are born
-    /// unit-private.
-    pub fn retain_dirty(&mut self, mut keep: impl FnMut(SymbolId, &SymbolData) -> bool) {
-        self.dirty.retain(|(id, _, fin)| keep(*id, fin));
-    }
 }
 
 /// The arena of all symbols plus hierarchy-dependent type operations.
@@ -262,24 +423,32 @@ pub struct SymbolTable {
     /// fork-time snapshot a [`SymbolDelta`] needs *is* the frozen base
     /// value. `None` on ordinary tables.
     overlay: Option<BTreeMap<u32, SymbolData>>,
+    /// Worker tables only: bitset over base-arena ids marking those the
+    /// overlay shadows, so reads of untouched base symbols skip the map.
+    overlaid_base: Vec<u64>,
+    /// The info transformers [`SymbolTable::info_at`] applies.
+    plan: Arc<InfoPlan>,
+    /// The current period: what [`SymbolTable::info`] reads at and what
+    /// [`SymbolTable::sym_mut`] records writes at.
+    period: u8,
 }
 
 impl SymbolTable {
     /// Creates a table pre-populated with the built-in definitions.
     pub fn new() -> SymbolTable {
+        let sentinel = SymbolData::new(
+            std_names::root_pkg(),
+            Flags::EMPTY,
+            SymbolId::NONE,
+            SymKind::Package,
+            Type::NoType,
+            Vec::new(),
+            Vec::new(),
+            0,
+        );
         let mut tab = SymbolTable {
-            syms: Arc::new(vec![SymbolData {
-                // Index 0 is the NONE sentinel.
-                name: std_names::root_pkg(),
-                flags: Flags::EMPTY,
-                owner: SymbolId::NONE,
-                kind: SymKind::Package,
-                info: Type::NoType,
-                span: Span::SYNTHETIC,
-                parents: Vec::new(),
-                decls: Vec::new(),
-                tparams: Vec::new(),
-            }]),
+            // Index 0 is the NONE sentinel.
+            syms: Arc::new(vec![sentinel]),
             builtins: Builtins {
                 root_pkg: SymbolId::NONE,
                 any_class: SymbolId::NONE,
@@ -293,18 +462,11 @@ impl SymbolTable {
             growth: None,
             adopted: Arc::new(Vec::new()),
             overlay: None,
+            overlaid_base: Vec::new(),
+            plan: Arc::new(InfoPlan::default()),
+            period: 0,
         };
-        let root = tab.alloc(SymbolData {
-            name: std_names::root_pkg(),
-            flags: Flags::PACKAGE,
-            owner: SymbolId::NONE,
-            kind: SymKind::Package,
-            info: Type::NoType,
-            span: Span::SYNTHETIC,
-            parents: Vec::new(),
-            decls: Vec::new(),
-            tparams: Vec::new(),
-        });
+        let root = tab.new_package(SymbolId::NONE, std_names::root_pkg());
         tab.builtins.root_pkg = root;
 
         // `Any`'s universal members live on a pseudo-class.
@@ -359,30 +521,10 @@ impl SymbolTable {
             );
             let mut tparams = Vec::new();
             for i in 0..n {
-                let tp = tab.alloc(SymbolData {
-                    name: Name::intern(&format!("T{}", i + 1)),
-                    flags: Flags::TYPE_PARAM,
-                    owner: cls,
-                    kind: SymKind::TypeParam,
-                    info: Type::Any,
-                    span: Span::SYNTHETIC,
-                    parents: Vec::new(),
-                    decls: Vec::new(),
-                    tparams: Vec::new(),
-                });
+                let tp = tab.new_type_param(cls, Name::intern(&format!("T{}", i + 1)));
                 tparams.push(tp);
             }
-            let r = tab.alloc(SymbolData {
-                name: Name::intern("R"),
-                flags: Flags::TYPE_PARAM,
-                owner: cls,
-                kind: SymKind::TypeParam,
-                info: Type::Any,
-                span: Span::SYNTHETIC,
-                parents: Vec::new(),
-                decls: Vec::new(),
-                tparams: Vec::new(),
-            });
+            let r = tab.new_type_param(cls, Name::intern("R"));
             let apply_info = Type::Method {
                 params: vec![tparams.iter().map(|&tp| Type::TypeParam(tp)).collect()],
                 ret: Box::new(Type::TypeParam(r)),
@@ -433,11 +575,9 @@ impl SymbolTable {
     /// Every resolvable symbol id except the `NONE` sentinel, ascending:
     /// the base arena, then adopted shards, then this table's own shards
     /// (a fork's own shards always start above every shard it inherited
-    /// and chain upward, so this chain *is* ascending id order — the
-    /// deterministic sweep order the parallel-determinism guarantee relies
-    /// on). Whole-table sweeps (`ElimByName`, `Erasure`, `Flatten`) must
-    /// use this rather than `1..len()` — ids are **not** contiguous once a
-    /// table has a worker shard.
+    /// and chain upward, so this chain *is* ascending id order). Whole-table
+    /// walks must use this rather than `1..len()` — ids are **not**
+    /// contiguous once a table has a worker shard.
     pub fn ids(&self) -> impl Iterator<Item = SymbolId> + '_ {
         let base = 1..self.syms.len() as u32;
         let own = self
@@ -514,6 +654,9 @@ impl SymbolTable {
             growth: Some(growth),
             adopted: Arc::clone(&self.adopted),
             overlay: Some(BTreeMap::new()),
+            overlaid_base: Vec::new(),
+            plan: Arc::clone(&self.plan),
+            period: self.period,
         }
     }
 
@@ -587,7 +730,7 @@ impl SymbolTable {
     /// reads shared-owner decls order.
     pub fn adopt(&mut self, delta: SymbolDelta) {
         for (id, fork, fin) in delta.dirty {
-            let cur = self.sym_mut(id);
+            let cur = self.raw_mut(id);
             if fin.name != fork.name {
                 cur.name = fin.name;
             }
@@ -600,14 +743,16 @@ impl SymbolTable {
             if fin.kind != fork.kind {
                 cur.kind = fin.kind;
             }
-            if fin.info != fork.info {
+            // Info and parents are only meaningful together with the
+            // period they were written at, so the three merge as one.
+            if fin.period != fork.period || fin.info != fork.info || fin.parents != fork.parents {
                 cur.info = fin.info;
+                cur.parents = fin.parents;
+                cur.period = fin.period;
+                cur.memo = InfoMemo::default();
             }
             if fin.span != fork.span {
                 cur.span = fin.span;
-            }
-            if fin.parents != fork.parents {
-                cur.parents = fin.parents;
             }
             if fin.tparams != fork.tparams {
                 cur.tparams = fin.tparams;
@@ -671,17 +816,15 @@ impl SymbolTable {
     /// Creates a new term symbol (val/var/def/param/local) owned by `owner`
     /// and enters it into the owner's declarations.
     pub fn new_term(&mut self, owner: SymbolId, name: Name, flags: Flags, info: Type) -> SymbolId {
-        self.alloc(SymbolData {
+        self.alloc_new(
             name,
             flags,
             owner,
-            kind: SymKind::Term,
+            SymKind::Term,
             info,
-            span: Span::SYNTHETIC,
-            parents: Vec::new(),
-            decls: Vec::new(),
-            tparams: Vec::new(),
-        })
+            Vec::new(),
+            Vec::new(),
+        )
     }
 
     /// Creates a new class (or trait, if `flags` contains `TRAIT`).
@@ -693,62 +836,76 @@ impl SymbolTable {
         parents: Vec<Type>,
         tparams: Vec<SymbolId>,
     ) -> SymbolId {
-        self.alloc(SymbolData {
+        self.alloc_new(
             name,
             flags,
             owner,
-            kind: SymKind::Class,
-            info: Type::NoType,
-            span: Span::SYNTHETIC,
+            SymKind::Class,
+            Type::NoType,
             parents,
-            decls: Vec::new(),
             tparams,
-        })
+        )
     }
 
     /// Creates a type-parameter symbol owned by `owner`.
     pub fn new_type_param(&mut self, owner: SymbolId, name: Name) -> SymbolId {
-        self.alloc(SymbolData {
+        let flags = Flags::TYPE_PARAM;
+        self.alloc_new(
             name,
-            flags: Flags::TYPE_PARAM,
+            flags,
             owner,
-            kind: SymKind::TypeParam,
-            info: Type::Any,
-            span: Span::SYNTHETIC,
-            parents: Vec::new(),
-            decls: Vec::new(),
-            tparams: Vec::new(),
-        })
+            SymKind::TypeParam,
+            Type::Any,
+            Vec::new(),
+            Vec::new(),
+        )
     }
 
     /// Creates a label symbol for jumps.
     pub fn new_label(&mut self, owner: SymbolId, name: Name, info: Type) -> SymbolId {
-        self.alloc(SymbolData {
+        let flags = Flags::LABEL | Flags::SYNTHETIC;
+        self.alloc_new(
             name,
-            flags: Flags::LABEL | Flags::SYNTHETIC,
+            flags,
             owner,
-            kind: SymKind::Label,
+            SymKind::Label,
             info,
-            span: Span::SYNTHETIC,
-            parents: Vec::new(),
-            decls: Vec::new(),
-            tparams: Vec::new(),
-        })
+            Vec::new(),
+            Vec::new(),
+        )
     }
 
     /// Creates a package symbol.
     pub fn new_package(&mut self, owner: SymbolId, name: Name) -> SymbolId {
-        self.alloc(SymbolData {
+        let flags = Flags::PACKAGE;
+        self.alloc_new(
             name,
-            flags: Flags::PACKAGE,
+            flags,
             owner,
-            kind: SymKind::Package,
-            info: Type::NoType,
-            span: Span::SYNTHETIC,
-            parents: Vec::new(),
-            decls: Vec::new(),
-            tparams: Vec::new(),
-        })
+            SymKind::Package,
+            Type::NoType,
+            Vec::new(),
+            Vec::new(),
+        )
+    }
+
+    /// Allocates a symbol whose info and parents are written at the
+    /// current period.
+    #[allow(clippy::too_many_arguments)]
+    fn alloc_new(
+        &mut self,
+        name: Name,
+        flags: Flags,
+        owner: SymbolId,
+        kind: SymKind,
+        info: Type,
+        parents: Vec<Type>,
+        tparams: Vec<SymbolId>,
+    ) -> SymbolId {
+        let period = self.period;
+        self.alloc(SymbolData::new(
+            name, flags, owner, kind, info, parents, tparams, period,
+        ))
     }
 
     /// Read access to a symbol's data. On a worker fork, mutated pre-fork
@@ -762,7 +919,7 @@ impl SymbolTable {
     pub fn sym(&self, id: SymbolId) -> &SymbolData {
         assert!(id.exists(), "dereferencing SymbolId::NONE");
         if let Some(ov) = &self.overlay {
-            if let Some(d) = ov.get(&id.0) {
+            if let Some(d) = self.overlay_sym(ov, id) {
                 return d;
             }
         }
@@ -772,6 +929,25 @@ impl SymbolTable {
         } else {
             self.shard_sym(id)
         }
+    }
+
+    /// A fork's overlay entry for `id`, if it has one. Base-arena ids are
+    /// tested against the `overlaid_base` bitset first, so reads of
+    /// untouched base symbols skip the map.
+    #[inline]
+    fn overlay_sym<'a>(
+        &self,
+        ov: &'a BTreeMap<u32, SymbolData>,
+        id: SymbolId,
+    ) -> Option<&'a SymbolData> {
+        let i = id.0 as usize;
+        if i < self.syms.len() {
+            let word = self.overlaid_base.get(i / 64).copied().unwrap_or(0);
+            if word & (1 << (i % 64)) == 0 {
+                return None;
+            }
+        }
+        ov.get(&id.0)
     }
 
     /// Out-of-base lookup: the table's own shards, then adopted shards.
@@ -789,24 +965,197 @@ impl SymbolTable {
         }
     }
 
-    /// Mutable access to a symbol's data. On a worker fork, the first
-    /// mutation of any pre-fork symbol — base arena **or** a shard adopted
-    /// from an earlier parallel run — copies it into the fork's private
-    /// overlay and mutates the copy; the shared frozen base is never
-    /// written, which is what makes the O(1) fork sound and gives
-    /// [`SymbolTable::into_delta`] its fork-time snapshots for free. Only
-    /// the fork's own shards mutate in place (they ship back wholesale).
+    /// Mutable access to a symbol's data, for a write at the current
+    /// period. The symbol's info and parents are first brought up to the
+    /// current period (the transformers between their write period and now
+    /// are applied and stored), so whatever the caller writes is recorded
+    /// at the current period and later transformers still apply on top of
+    /// it. The symbol's memo is cleared.
+    ///
+    /// On a worker fork, the first mutation of any pre-fork symbol — base
+    /// arena **or** a shard adopted from an earlier parallel run — copies
+    /// it into the fork's private overlay and mutates the copy; the shared
+    /// frozen base is never written, which is what makes the O(1) fork
+    /// sound and gives [`SymbolTable::into_delta`] its fork-time snapshots
+    /// for free. Only the fork's own shards mutate in place (they ship back
+    /// wholesale).
     ///
     /// # Panics
     ///
     /// Panics if `id` is `NONE` or out of range.
     pub fn sym_mut(&mut self, id: SymbolId) -> &mut SymbolData {
+        let period = self.period;
+        let seen = (self.sym(id).period < period).then(|| self.seen_at(id, period).into_owned());
+        let d = self.raw_mut(id);
+        if let Some((info, parents)) = seen {
+            d.info = info;
+            d.parents = parents;
+            d.period = period;
+        }
+        d.memo = InfoMemo::default();
+        d
+    }
+
+    /// Installs the info transformers [`SymbolTable::info_at`] applies.
+    /// Forks inherit the plan and the current period.
+    pub fn set_info_plan(&mut self, plan: Arc<InfoPlan>) {
+        self.period = self.period.min(plan.len() as u8);
+        self.plan = plan;
+    }
+
+    /// The installed info transformers.
+    pub fn info_plan(&self) -> &Arc<InfoPlan> {
+        &self.plan
+    }
+
+    /// Moves the table to `period`. Executors call this at every phase
+    /// group boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` exceeds the installed plan's length.
+    pub fn set_period(&mut self, period: u8) {
+        assert!(
+            usize::from(period) <= self.plan.len(),
+            "period beyond the info plan"
+        );
+        self.period = period;
+    }
+
+    /// The symbol's info as seen at the current period.
+    #[inline]
+    pub fn info(&self, id: SymbolId) -> Cow<'_, Type> {
+        self.info_at(id, self.period)
+    }
+
+    /// The symbol's parents as seen at the current period.
+    #[inline]
+    pub fn parents(&self, id: SymbolId) -> Cow<'_, [Type]> {
+        self.parents_at(id, self.period)
+    }
+
+    /// The symbol's info as seen at `period` — Dotty's denotation of a
+    /// symbol at a phase, computed on demand instead of by rewriting the
+    /// whole table when a phase starts.
+    ///
+    /// # Periods, memoization and invalidation
+    ///
+    /// * A *period* counts the info transformers (see [`InfoTransform`])
+    ///   whose phase group has started. Periods are keyed by group start,
+    ///   not by phase position: every member of a fused group sees the
+    ///   infos of every transformer in that group, exactly as the group's
+    ///   `prepare_unit` hooks would have produced them.
+    /// * Each symbol records the period its info and parents were written
+    ///   at (creation, or the last [`SymbolTable::sym_mut`]). The value at
+    ///   `period` is the stored one with the transformers from the write
+    ///   period up to `period` applied; at or below the write period it is
+    ///   the stored value itself.
+    /// * Results are memoized on the symbol, one slot per transformer, in
+    ///   whichever table stores the symbol. A fork reading a pre-fork
+    ///   symbol fills the memo in the shared frozen base, so sibling forks
+    ///   and later compiles over the same base reuse it; reads never copy
+    ///   a symbol into a fork's overlay.
+    /// * [`SymbolTable::sym_mut`] clears the symbol's memo; clones of a
+    ///   symbol start with an empty one; slots computed under a different
+    ///   plan are ignored (the value is then recomputed on every read).
+    #[inline]
+    pub fn info_at(&self, id: SymbolId, period: u8) -> Cow<'_, Type> {
+        let d = self.sym(id);
+        if self.stored_is_current(d, period) {
+            return Cow::Borrowed(&d.info);
+        }
+        match self.seen_later(d, period) {
+            Seen::Borrowed(info, _) => Cow::Borrowed(info),
+            Seen::Owned(info, _) => Cow::Owned(info),
+        }
+    }
+
+    /// The symbol's parents as seen at `period` (see
+    /// [`SymbolTable::info_at`]).
+    #[inline]
+    pub fn parents_at(&self, id: SymbolId, period: u8) -> Cow<'_, [Type]> {
+        let d = self.sym(id);
+        if self.stored_is_current(d, period) {
+            return Cow::Borrowed(&d.parents);
+        }
+        match self.seen_later(d, period) {
+            Seen::Borrowed(_, parents) => Cow::Borrowed(parents),
+            Seen::Owned(_, parents) => Cow::Owned(parents),
+        }
+    }
+
+    /// True when no transformer applies between `d`'s write period and
+    /// `period`: the stored info and parents are the answer.
+    #[inline]
+    fn stored_is_current(&self, d: &SymbolData, period: u8) -> bool {
+        usize::from(period).min(self.plan.len()) <= usize::from(d.period)
+    }
+
+    fn seen_at(&self, id: SymbolId, period: u8) -> Seen<'_> {
+        let d = self.sym(id);
+        if self.stored_is_current(d, period) {
+            return Seen::Borrowed(&d.info, &d.parents);
+        }
+        self.seen_later(d, period)
+    }
+
+    /// The memoized path of [`SymbolTable::info_at`], for a `period` above
+    /// `d`'s write period.
+    fn seen_later<'a>(&'a self, d: &'a SymbolData, period: u8) -> Seen<'a> {
+        let from = usize::from(d.period);
+        let upto = usize::from(period).min(self.plan.len());
+        let Some(slots) = d.memo.slots(&self.plan) else {
+            let mut seen = Seen::Borrowed(&d.info, &d.parents);
+            for f in &self.plan.transforms[from..upto] {
+                let (info, parents) = seen.get();
+                if let Some((info, parents)) = f(d, info, parents, self) {
+                    seen = Seen::Owned(info, parents);
+                }
+            }
+            return seen;
+        };
+        match self.memo_slot(d, slots, from, upto - 1) {
+            Some(seen) => Seen::Borrowed(&seen.0, &seen.1),
+            None => Seen::Borrowed(&d.info, &d.parents),
+        }
+    }
+
+    /// Fills and returns memo slot `k` (see [`MemoSlot`]) of `d`, whose
+    /// stored data was written at period `from <= k`.
+    fn memo_slot<'a>(
+        &self,
+        d: &SymbolData,
+        slots: &'a [MemoSlot],
+        from: usize,
+        k: usize,
+    ) -> Option<&'a (Type, Vec<Type>)> {
+        slots[k]
+            .get_or_init(|| {
+                let below = if k == from {
+                    None
+                } else {
+                    self.memo_slot(d, slots, from, k - 1)
+                };
+                let (info, parents) = below.map_or((&d.info, &d.parents[..]), |b| (&b.0, &b.1));
+                match (self.plan.transforms[k])(d, info, parents, self) {
+                    Some(seen) => Some(Box::new(seen)),
+                    None => below.map(|b| Box::new(b.clone())),
+                }
+            })
+            .as_deref()
+    }
+
+    /// Mutable access to a symbol's stored data as written: the
+    /// copy-on-write resolution of [`SymbolTable::sym_mut`] without its
+    /// period bookkeeping.
+    fn raw_mut(&mut self, id: SymbolId) -> &mut SymbolData {
         assert!(id.exists(), "dereferencing SymbolId::NONE");
         let SymbolTable {
             syms,
             shards,
             adopted,
             overlay,
+            overlaid_base,
             ..
         } = self;
         // Fork-created symbols (own shards) mutate in place on both table
@@ -819,6 +1168,10 @@ impl SymbolTable {
             return ov.entry(id.0).or_insert_with(|| {
                 let i = id.0 as usize;
                 if i < syms.len() {
+                    if overlaid_base.is_empty() {
+                        overlaid_base.resize(syms.len().div_ceil(64), 0);
+                    }
+                    overlaid_base[i / 64] |= 1 << (i % 64);
                     syms[i].clone()
                 } else {
                     match find_shard(adopted, id.0) {
@@ -896,8 +1249,7 @@ impl SymbolTable {
     pub fn linearization(&self, cls: SymbolId) -> Vec<SymbolId> {
         let mut out = vec![cls];
         let parents: Vec<SymbolId> = self
-            .sym(cls)
-            .parents
+            .parents(cls)
             .iter()
             .filter_map(|p| p.class_sym())
             .collect();
@@ -924,10 +1276,9 @@ impl SymbolTable {
                 if *sym == target {
                     return Some(t.clone());
                 }
-                let data = self.sym(*sym);
-                let tparams = data.tparams.clone();
-                for parent in data.parents.clone() {
-                    let seen = parent.subst(&tparams, targs);
+                let tparams = &self.sym(*sym).tparams;
+                for parent in self.parents(*sym).iter() {
+                    let seen = parent.subst(tparams, targs);
                     if let Some(bt) = self.base_type(&seen, target) {
                         return Some(bt);
                     }
@@ -957,7 +1308,7 @@ impl SymbolTable {
     pub fn widen(&self, t: Type) -> Type {
         match t {
             Type::TermRef(s) => {
-                let info = self.sym(s).info.clone();
+                let info = self.info(s).into_owned();
                 self.widen(info)
             }
             other => other,
@@ -1118,7 +1469,7 @@ impl SymbolTable {
             Type::Class { sym, .. } => {
                 for base in self.linearization(*sym) {
                     if let Some(d) = self.decl(base, name) {
-                        let info = self.sym(d).info.clone();
+                        let info = self.info(d).into_owned();
                         let seen = match self.base_type(t, base) {
                             Some(Type::Class { targs, .. }) => {
                                 let tps = self.sym(base).tparams.clone();
@@ -1170,17 +1521,17 @@ impl SymbolTable {
 
     fn universal_member(&self, name: Name) -> Option<(SymbolId, Type)> {
         self.decl(self.builtins.any_class, name)
-            .map(|d| (d, self.sym(d).info.clone()))
+            .map(|d| (d, self.info(d).into_owned()))
     }
 
     /// The member of a parent class that `m` (a member of `cls`) overrides,
     /// if any: same name, same number of value parameters.
     pub fn overridden(&self, cls: SymbolId, m: SymbolId) -> Option<SymbolId> {
-        let md = self.sym(m);
-        let nparams = md.info.param_count();
+        let name = self.sym(m).name;
+        let nparams = self.info(m).param_count();
         for base in self.linearization(cls).into_iter().skip(1) {
-            if let Some(d) = self.decl(base, md.name) {
-                if self.sym(d).info.param_count() == nparams {
+            if let Some(d) = self.decl(base, name) {
+                if self.info(d).param_count() == nparams {
                     return Some(d);
                 }
             }

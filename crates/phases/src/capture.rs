@@ -92,7 +92,7 @@ impl CapturedVars {
 
     fn is_boxed(&self, ctx: &Ctx, sym: SymbolId) -> bool {
         match self.ref_class {
-            Some((cls, _)) => ctx.symbols.sym(sym).info.class_sym() == Some(cls),
+            Some((cls, _)) => ctx.symbols.info(sym).class_sym() == Some(cls),
             None => false,
         }
     }
@@ -198,7 +198,7 @@ impl MiniPhase for CapturedVars {
         // Rewrite the definition to a boxed cell.
         {
             let d = ctx.symbols.sym_mut(*sym);
-            d.info = cell_t.clone();
+            d.set_info(cell_t.clone());
             d.flags = d.flags.without(Flags::MUTABLE);
         }
         let owner = ctx.symbols.sym(*sym).owner;
@@ -283,7 +283,7 @@ impl MiniPhase for CapturedVars {
         if let TreeKind::Ident { sym } = t.kind() {
             if sym.exists() && ctx.symbols.sym(*sym).flags.is(Flags::CAPTURED) {
                 let boxed = self.is_boxed(ctx, *sym);
-                if boxed && t.tpe().class_sym() != ctx.symbols.sym(*sym).info.class_sym() {
+                if boxed && t.tpe().class_sym() != ctx.symbols.info(*sym).class_sym() {
                     return Err(format!(
                         "captured var `{}` read without unboxing",
                         ctx.symbols.full_name(*sym)
@@ -430,7 +430,7 @@ impl MiniPhase for NonLocalReturns {
             return tree.clone();
         }
         let (cls, key_f, value_f) = self.ensure_token(ctx);
-        let ret_t = ctx.symbols.sym(*sym).info.final_result().clone();
+        let ret_t = ctx.symbols.info(*sym).final_result().clone();
         let cell_t = ctx.symbols.class_type(cls);
         // catch (e: Any) =>
         //   if (e.isInstanceOf[Token] && e.asInstanceOf[Token].key == K)

@@ -5,15 +5,17 @@
 //! types of *every* tree, so phases cannot straddle it (rule 2), and it
 //! assumes earlier phases finished whole units (rule 3). It therefore forms
 //! a fusion group of its own via `runs_after_groups_of`.
+//!
+//! Symbol types are erased lazily: the phase declares an info transformer
+//! and the symbol table shows every symbol erased from the start of the
+//! phase's group on (see [`mini_ir::SymbolTable::info_at`]).
 
-use mini_ir::{Ctx, NodeKindSet, SymbolId, TreeKind, TreeRef, Type};
+use mini_ir::{Ctx, InfoTransform, NodeKindSet, SymbolData, SymbolTable, TreeKind, TreeRef, Type};
 use miniphase::{MiniPhase, PhaseInfo};
 
 /// The type-erasure phase.
 #[derive(Default)]
-pub struct Erasure {
-    swept: bool,
-}
+pub struct Erasure;
 
 impl PhaseInfo for Erasure {
     fn name(&self) -> &str {
@@ -34,7 +36,7 @@ impl Erasure {
             // specific type gets a cast back to the erased static type.
             TreeKind::Select { qual, name, sym } => {
                 if sym.exists() {
-                    let member_info = ctx.symbols.sym(*sym).info.clone();
+                    let member_info = ctx.symbols.info(*sym).into_owned();
                     if !member_info.is_method_like() {
                         let node = ctx.mk(
                             TreeKind::Select {
@@ -144,25 +146,19 @@ impl Erasure {
             span,
         )
     }
+}
 
-    fn sweep_symbols(&mut self, ctx: &mut Ctx) {
-        if self.swept {
-            return;
-        }
-        self.swept = true;
-        // `ids()` rather than `1..len()`: ids are not contiguous once the
-        // table carries a parallel-worker shard.
-        let ids: Vec<SymbolId> = ctx.symbols.ids().collect();
-        for id in ids {
-            let info = ctx.symbols.sym(id).info.clone();
-            let erased = ctx.symbols.erase(&info);
-            let parents = ctx.symbols.sym(id).parents.clone();
-            let eparents: Vec<Type> = parents.iter().map(|p| ctx.symbols.erase(p)).collect();
-            let d = ctx.symbols.sym_mut(id);
-            d.info = erased;
-            d.parents = eparents;
-        }
-    }
+/// `Erasure`'s info transformer: [`SymbolTable::erase`] on the info and
+/// every parent.
+fn transform_info(
+    _sym: &SymbolData,
+    info: &Type,
+    parents: &[Type],
+    symbols: &SymbolTable,
+) -> Option<(Type, Vec<Type>)> {
+    let erased = symbols.erase(info);
+    let eparents: Vec<Type> = parents.iter().map(|p| symbols.erase(p)).collect();
+    (erased != *info || eparents != parents).then_some((erased, eparents))
 }
 
 macro_rules! impl_erasure_hooks {
@@ -178,8 +174,8 @@ macro_rules! impl_erasure_hooks {
                 vec!["patternMatcher", "elimByName", "seqLiterals"]
             }
 
-            fn prepare_unit(&mut self, ctx: &mut Ctx, _unit_tree: &TreeRef) {
-                self.sweep_symbols(ctx);
+            fn info_transformer(&self) -> Option<InfoTransform> {
+                Some(transform_info)
             }
 
             fn check_post_condition(&self, _ctx: &Ctx, t: &TreeRef) -> Result<(), String> {

@@ -50,14 +50,14 @@ impl MiniPhase for Getters {
         if !is_accessorable(ctx, *sym) {
             return tree.clone();
         }
-        let value_t = ctx.symbols.sym(*sym).info.clone();
+        let value_t = ctx.symbols.info(*sym).into_owned();
         {
             let d = ctx.symbols.sym_mut(*sym);
             d.flags |= Flags::METHOD | Flags::ACCESSOR;
-            d.info = Type::Method {
+            d.set_info(Type::Method {
                 params: vec![vec![]],
                 ret: Box::new(value_t),
-            };
+            });
         }
         ctx.with_kind(
             tree,
@@ -136,7 +136,7 @@ impl LazyVals {
         }
         let cls = d.owner;
         let name = d.name;
-        let value_t = d.info.final_result().clone();
+        let value_t = ctx.symbols.info(*sym).final_result().clone();
         // Fields.
         let value_f = ctx.symbols.new_term(
             cls,
@@ -311,7 +311,7 @@ impl MiniPhase for LazyVals {
             };
             let owner = ctx.symbols.sym(*sym).owner;
             let name = ctx.symbols.sym(*sym).name;
-            let value_t = ctx.symbols.sym(*sym).info.clone();
+            let value_t = ctx.symbols.info(*sym).into_owned();
             let flag_sym = ctx.symbols.new_term(
                 owner,
                 mini_ir::Name::intern(&format!("{name}$flag")),
@@ -327,10 +327,10 @@ impl MiniPhase for LazyVals {
             {
                 let dm = ctx.symbols.sym_mut(*sym);
                 dm.flags = dm.flags.without(Flags::LAZY) | Flags::METHOD | Flags::SYNTHETIC;
-                dm.info = Type::Method {
+                dm.set_info(Type::Method {
                     params: vec![vec![]],
                     ret: Box::new(value_t.clone()),
-                };
+                });
             }
             let f = ctx.lit_bool(false);
             new_stats.push(ctx.val_def(flag_sym, f));
@@ -417,7 +417,7 @@ impl MiniPhase for LazyVals {
         let lazy_now = d.flags.is(Flags::LAZY) && !d.flags.is(Flags::PARAM);
         let lazified = d.flags.is(Flags::METHOD | Flags::SYNTHETIC)
             && matches!(tree.tpe(), t if !t.is_method_like());
-        if !(lazy_now || (lazified && matches!(d.info, Type::Method { .. }))) {
+        if !(lazy_now || (lazified && matches!(*ctx.symbols.info(*sym), Type::Method { .. }))) {
             return tree.clone();
         }
         if matches!(tree.tpe(), Type::Method { .. }) {
@@ -481,7 +481,7 @@ impl MiniPhase for Memoize {
             match m.kind() {
                 TreeKind::DefDef { sym, paramss, rhs } if is_accessor && !rhs.is_empty_tree() => {
                     let name = ctx.symbols.sym(*sym).name;
-                    let value_t = ctx.symbols.sym(*sym).info.final_result().clone();
+                    let value_t = ctx.symbols.info(*sym).final_result().clone();
                     let field = ctx.symbols.new_term(
                         cls,
                         mini_ir::Name::intern(&format!("{name}$field")),

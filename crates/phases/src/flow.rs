@@ -2,7 +2,8 @@
 //! flagship prepare-using phase, §4.1) and `ElimByName`.
 
 use mini_ir::{
-    std_names, Ctx, Flags, NodeKind, NodeKindSet, SymKind, SymbolId, TreeKind, TreeRef, Type,
+    std_names, Ctx, Flags, InfoTransform, NodeKind, NodeKindSet, SymKind, SymbolData, SymbolId,
+    SymbolTable, TreeKind, TreeRef, Type,
 };
 use miniphase::{MiniPhase, PhaseInfo};
 
@@ -154,7 +155,7 @@ impl MiniPhase for TailRec {
             return tree.clone();
         }
         let param_syms: Vec<SymbolId> = paramss.iter().flatten().map(|p| p.def_sym()).collect();
-        let info = d.info.clone();
+        let info = ctx.symbols.info(*sym).into_owned();
         let label_name = ctx.fresh_name("tailLoop");
         let label = ctx.symbols.new_label(*sym, label_name, info);
         ctx.symbols.sym_mut(label).decls = param_syms.clone();
@@ -340,9 +341,7 @@ impl MiniPhase for LiftTry {
 /// `=> T` parameters become `() => T` thunks, arguments are wrapped in
 /// zero-parameter lambdas, and parameter uses become `.apply()` calls.
 #[derive(Default)]
-pub struct ElimByName {
-    swept: bool,
-}
+pub struct ElimByName;
 
 impl PhaseInfo for ElimByName {
     fn name(&self) -> &str {
@@ -353,7 +352,8 @@ impl PhaseInfo for ElimByName {
     }
 }
 
-fn strip_by_name(t: &Type) -> Type {
+/// `ElimByName`'s type map: `=> T` becomes `() => T` in a signature.
+pub fn strip_by_name(t: &Type) -> Type {
     match t {
         Type::ByName(inner) => Type::Function {
             params: vec![],
@@ -377,26 +377,24 @@ fn strip_by_name(t: &Type) -> Type {
     }
 }
 
+/// `ElimByName`'s info transformer: [`strip_by_name`] on the info.
+fn transform_info(
+    _sym: &SymbolData,
+    info: &Type,
+    parents: &[Type],
+    _symbols: &SymbolTable,
+) -> Option<(Type, Vec<Type>)> {
+    let stripped = strip_by_name(info);
+    (stripped != *info).then(|| (stripped, parents.to_vec()))
+}
+
 impl MiniPhase for ElimByName {
     fn transforms(&self) -> NodeKindSet {
         NodeKindSet::of(NodeKind::Apply).with(NodeKind::Ident)
     }
 
-    fn prepare_unit(&mut self, ctx: &mut Ctx, _unit_tree: &TreeRef) {
-        if self.swept {
-            return;
-        }
-        self.swept = true;
-        // `ids()` rather than `1..len()`: ids are not contiguous once the
-        // table carries a parallel-worker shard.
-        let ids: Vec<SymbolId> = ctx.symbols.ids().collect();
-        for id in ids {
-            let info = ctx.symbols.sym(id).info.clone();
-            let stripped = strip_by_name(&info);
-            if stripped != info {
-                ctx.symbols.sym_mut(id).info = stripped;
-            }
-        }
+    fn info_transformer(&self) -> Option<InfoTransform> {
+        Some(transform_info)
     }
 
     fn transform_apply(&mut self, ctx: &mut Ctx, tree: &TreeRef) -> TreeRef {

@@ -225,12 +225,12 @@ impl LambdaLift {
             if caps.is_empty() {
                 continue;
             }
-            let info = ctx.symbols.sym(*d).info.clone();
+            let info = ctx.symbols.info(*d).into_owned();
             if let Type::Method { params, ret } = info {
                 let mut ps = params;
                 let cap_types: Vec<Type> = caps
                     .iter()
-                    .map(|&v| ctx.symbols.sym(v).info.clone())
+                    .map(|&v| ctx.symbols.info(v).into_owned())
                     .collect();
                 if let Some(first) = ps.first_mut() {
                     let mut new_first = cap_types;
@@ -239,7 +239,9 @@ impl LambdaLift {
                 } else {
                     ps.push(cap_types);
                 }
-                ctx.symbols.sym_mut(*d).info = Type::Method { params: ps, ret };
+                ctx.symbols
+                    .sym_mut(*d)
+                    .set_info(Type::Method { params: ps, ret });
             }
         }
     }
@@ -351,7 +353,7 @@ impl MiniPhase for LambdaLift {
         let mut new_args: Vec<TreeRef> = caps.iter().map(|&v| ctx.ident(v)).collect();
         new_args.extend(args.iter().cloned());
         let target = ctx.symbols.enclosing_class(*sym);
-        let info = ctx.symbols.sym(*sym).info.clone();
+        let info = ctx.symbols.info(*sym).into_owned();
         let new_fun = if target.exists() {
             let this = ctx.this_mono(target);
             let name = ctx.symbols.sym(*sym).name;
@@ -430,7 +432,7 @@ impl MiniPhase for LambdaLift {
         let mut field_of: HashMap<SymbolId, SymbolId> = HashMap::new();
         let mut body_defs: Vec<TreeRef> = Vec::new();
         for &v in &free {
-            let vt = ctx.symbols.sym(v).info.clone();
+            let vt = ctx.symbols.info(v).into_owned();
             let vname = ctx.symbols.sym(v).name;
             let f = ctx.symbols.new_term(
                 anon,
@@ -459,13 +461,13 @@ impl MiniPhase for LambdaLift {
         let new_body = rewrite_refs(ctx, body, &mut |ctx, t| match t.kind() {
             TreeKind::Ident { sym } => field_of.get(sym).map(|&f| {
                 let this = ctx.this_mono(anon_cls);
-                let ft = ctx.symbols.sym(f).info.clone();
+                let ft = ctx.symbols.info(f).into_owned();
                 let name = ctx.symbols.sym(f).name;
                 ctx.select(this, name, f, ft)
             }),
             TreeKind::This { .. } => this_field.map(|f| {
                 let this = ctx.this_mono(anon_cls);
-                let ft = ctx.symbols.sym(f).info.clone();
+                let ft = ctx.symbols.info(f).into_owned();
                 ctx.select(this, Name::intern("$this"), f, ft)
             }),
             _ => None,
@@ -473,7 +475,7 @@ impl MiniPhase for LambdaLift {
         // apply method.
         let param_types: Vec<Type> = params
             .iter()
-            .map(|p| ctx.symbols.sym(p.def_sym()).info.clone())
+            .map(|p| ctx.symbols.info(p.def_sym()).into_owned())
             .collect();
         let apply_sym = ctx.symbols.new_term(
             anon,
@@ -529,7 +531,7 @@ impl MiniPhase for LambdaLift {
         for &v in &free {
             let f = field_of[&v];
             let tref = ctx.ident(tmp);
-            let ft = ctx.symbols.sym(f).info.clone();
+            let ft = ctx.symbols.info(f).into_owned();
             let fname = ctx.symbols.sym(f).name;
             let lhs = ctx.select(tref, fname, f, ft);
             let rhs = ctx.ident(v);
@@ -537,7 +539,7 @@ impl MiniPhase for LambdaLift {
         }
         if let (Some(f), Some(c)) = (this_field, this_cls) {
             let tref = ctx.ident(tmp);
-            let ft = ctx.symbols.sym(f).info.clone();
+            let ft = ctx.symbols.info(f).into_owned();
             let lhs = ctx.select(tref, Name::intern("$this"), f, ft);
             let rhs = ctx.this_mono(c);
             stats.push(ctx.mk(TreeKind::Assign { lhs, rhs }, Type::Unit, tree.span()));

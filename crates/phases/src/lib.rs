@@ -51,16 +51,16 @@ pub fn standard_pipeline() -> Vec<Box<dyn MiniPhase>> {
     vec![
         Box::new(FirstTransform),
         Box::new(RefChecks),
-        Box::new(ElimRepeated::default()),
+        Box::new(ElimRepeated),
         Box::new(TailRec),
         Box::new(LiftTry::default()),
         Box::new(InterceptedMethods),
         Box::new(Getters),
         Box::new(PatternMatcher::default()),
         Box::new(ExplicitOuter::default()),
-        Box::new(ElimByName::default()),
+        Box::new(ElimByName),
         Box::new(SeqLiterals),
-        Box::new(Erasure::default()),
+        Box::new(Erasure),
         Box::new(Mixin),
         Box::new(LazyVals::default()),
         Box::new(Memoize),

@@ -54,8 +54,9 @@ impl MiniPhase for Mixin {
         // New traits: in this class's linearization but not inherited through
         // the superclass.
         let lin = ctx.symbols.linearization(cls);
-        let super_cls = d
-            .parents
+        let super_cls = ctx
+            .symbols
+            .parents(cls)
             .first()
             .and_then(|p| p.class_sym())
             .filter(|&p| !ctx.symbols.sym(p).flags.is(Flags::TRAIT));
@@ -128,7 +129,7 @@ fn is_loose_stat(t: &TreeRef) -> bool {
 impl Constructors {
     fn field_assign(&self, ctx: &mut Ctx, cls: SymbolId, field: SymbolId, rhs: TreeRef) -> TreeRef {
         let this = ctx.this_mono(cls);
-        let ft = ctx.symbols.sym(field).info.clone();
+        let ft = ctx.symbols.info(field).into_owned();
         let name = ctx.symbols.sym(field).name;
         let lhs = ctx.select(this, name, field, ft);
         ctx.mk(
@@ -202,8 +203,7 @@ impl Constructors {
         // 1. Super constructor.
         let super_cls = ctx
             .symbols
-            .sym(cls)
-            .parents
+            .parents(cls)
             .first()
             .and_then(|p| p.class_sym())
             .filter(|&p| !ctx.symbols.sym(p).flags.is(Flags::TRAIT));
@@ -211,7 +211,7 @@ impl Constructors {
             if let Some(pctor) = ctx.symbols.decl(p, std_names::init()) {
                 let sup_t = ctx.symbols.class_type(p);
                 let sup = ctx.mk(TreeKind::Super { cls }, sup_t, mini_ir::Span::SYNTHETIC);
-                let m = ctx.symbols.sym(pctor).info.clone();
+                let m = ctx.symbols.info(pctor).into_owned();
                 let sel = ctx.select(sup, std_names::init(), pctor, m);
                 init_stats.push(ctx.apply(sel, vec![], Type::Unit));
             }
@@ -219,7 +219,7 @@ impl Constructors {
         // 2. Parameter-field assignments.
         for &f in &param_fields {
             let fname = ctx.symbols.sym(f).name;
-            let ft = ctx.symbols.sym(f).info.clone();
+            let ft = ctx.symbols.info(f).into_owned();
             let p = ctx.symbols.new_term(
                 ctor,
                 Name::intern(&format!("{fname}$p")),

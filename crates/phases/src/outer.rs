@@ -37,8 +37,8 @@ impl ExplicitOuter {
                 return None;
             }
             let f = outer_field(ctx, cur)?;
-            let next = ctx.symbols.sym(f).info.class_sym()?;
-            let ft = ctx.symbols.sym(f).info.clone();
+            let next = ctx.symbols.info(f).class_sym()?;
+            let ft = ctx.symbols.info(f).into_owned();
             expr = ctx.select(expr, outer_name(), f, ft);
             cur = next;
         }
@@ -83,12 +83,14 @@ impl MiniPhase for ExplicitOuter {
                 outer_t.clone(),
             );
             if let Some(ctor) = ctx.symbols.decl(cls, std_names::init()) {
-                if let Type::Method { params, ret } = ctx.symbols.sym(ctor).info.clone() {
+                if let Type::Method { params, ret } = ctx.symbols.info(ctor).into_owned() {
                     let mut ps = params;
                     if let Some(first) = ps.first_mut() {
                         first.push(outer_t);
                     }
-                    ctx.symbols.sym_mut(ctor).info = Type::Method { params: ps, ret };
+                    ctx.symbols
+                        .sym_mut(ctor)
+                        .set_info(Type::Method { params: ps, ret });
                 }
             }
         }

@@ -94,7 +94,7 @@ impl PatternMatcher {
             TreeKind::Bind { sym, pat: inner } => {
                 let test = self.test_for(ctx, inner, sel, binds);
                 // Bind the selected value, cast to the pattern type.
-                let target_t = ctx.symbols.sym(*sym).info.clone();
+                let target_t = ctx.symbols.info(*sym).into_owned();
                 let sel_ref = ctx.ident(sel);
                 let value = if matches!(target_t, Type::Any) {
                     sel_ref

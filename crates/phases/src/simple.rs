@@ -4,11 +4,10 @@
 
 use crate::util::OwnerStack;
 use mini_ir::{
-    std_names, Constant, Ctx, Flags, Name, NodeKind, NodeKindSet, SymKind, SymbolId, TreeKind,
-    TreeRef, Type,
+    std_names, Constant, Ctx, Flags, InfoTransform, Name, NodeKind, NodeKindSet, SymKind,
+    SymbolData, SymbolId, SymbolTable, TreeKind, TreeRef, Type,
 };
 use miniphase::{MiniPhase, PhaseInfo};
-use std::collections::HashMap;
 
 // ======================= FirstTransform ================================
 
@@ -61,8 +60,8 @@ impl MiniPhase for FirstTransform {
             return tree.clone();
         }
         let flat: Vec<TreeRef> = paramss.iter().flatten().cloned().collect();
-        let info = flatten_method_type(&ctx.symbols.sym(*sym).info);
-        ctx.symbols.sym_mut(*sym).info = info;
+        let info = flatten_method_type(&ctx.symbols.info(*sym));
+        ctx.symbols.sym_mut(*sym).set_info(info);
         ctx.with_kind(
             tree,
             TreeKind::DefDef {
@@ -171,10 +170,10 @@ impl MiniPhase for RefChecks {
                 continue;
             }
             let name = md.name;
-            let info = md.info.clone();
+            let info = ctx.symbols.info(m).into_owned();
             let is_override = md.flags.is(Flags::OVERRIDE);
             if let Some(parent_m) = ctx.symbols.overridden(cls, m) {
-                let pinfo = ctx.symbols.sym(parent_m).info.clone();
+                let pinfo = ctx.symbols.info(parent_m).into_owned();
                 let ok = ctx
                     .symbols
                     .is_subtype(info.final_result(), pinfo.final_result());
@@ -291,9 +290,7 @@ impl MiniPhase for InterceptedMethods {
 /// `T*` parameters become arrays, trailing argument groups become
 /// `SeqLiteral`s.
 #[derive(Default)]
-pub struct ElimRepeated {
-    swept: bool,
-}
+pub struct ElimRepeated;
 
 impl PhaseInfo for ElimRepeated {
     fn name(&self) -> &str {
@@ -304,54 +301,54 @@ impl PhaseInfo for ElimRepeated {
     }
 }
 
+/// `ElimRepeated`'s type map: `Repeated(T)` becomes `Array(T)` in a
+/// signature.
+pub fn strip_repeated(t: &Type) -> Type {
+    match t {
+        Type::Repeated(e) => Type::Array(Box::new(strip_repeated(e))),
+        Type::Method { params, ret } => Type::Method {
+            params: params
+                .iter()
+                .map(|ps| ps.iter().map(strip_repeated).collect())
+                .collect(),
+            ret: Box::new(strip_repeated(ret)),
+        },
+        Type::Poly {
+            tparams,
+            underlying,
+        } => Type::Poly {
+            tparams: tparams.clone(),
+            underlying: Box::new(strip_repeated(underlying)),
+        },
+        other => other.clone(),
+    }
+}
+
+/// `ElimRepeated`'s info transformer: [`strip_repeated`] on the info.
+fn transform_info(
+    _sym: &SymbolData,
+    info: &Type,
+    parents: &[Type],
+    _symbols: &SymbolTable,
+) -> Option<(Type, Vec<Type>)> {
+    let stripped = strip_repeated(info);
+    (stripped != *info).then(|| (stripped, parents.to_vec()))
+}
+
 impl MiniPhase for ElimRepeated {
     fn transforms(&self) -> NodeKindSet {
         NodeKindSet::of(NodeKind::Apply)
     }
 
-    fn prepare_unit(&mut self, ctx: &mut Ctx, _unit_tree: &TreeRef) {
-        if self.swept {
-            return;
-        }
-        self.swept = true;
-        // Signature sweep: Repeated(T) becomes Array(T) in every symbol.
-        fn strip(t: &Type) -> Type {
-            match t {
-                Type::Repeated(e) => Type::Array(Box::new(strip(e))),
-                Type::Method { params, ret } => Type::Method {
-                    params: params
-                        .iter()
-                        .map(|ps| ps.iter().map(strip).collect())
-                        .collect(),
-                    ret: Box::new(strip(ret)),
-                },
-                Type::Poly {
-                    tparams,
-                    underlying,
-                } => Type::Poly {
-                    tparams: tparams.clone(),
-                    underlying: Box::new(strip(underlying)),
-                },
-                other => other.clone(),
-            }
-        }
-        // `ids()` rather than `1..len()`: ids are not contiguous once the
-        // table carries a parallel-worker shard.
-        let ids: Vec<SymbolId> = ctx.symbols.ids().collect();
-        for id in ids {
-            let info = ctx.symbols.sym(id).info.clone();
-            let stripped = strip(&info);
-            if stripped != info {
-                ctx.symbols.sym_mut(id).info = stripped;
-            }
-        }
+    fn info_transformer(&self) -> Option<InfoTransform> {
+        Some(transform_info)
     }
 
     fn transform_apply(&mut self, ctx: &mut Ctx, tree: &TreeRef) -> TreeRef {
         let TreeKind::Apply { fun, args } = tree.kind() else {
             return tree.clone();
         };
-        // The tree type of `fun` still carries the pre-sweep signature.
+        // The tree type of `fun` still carries the vararg signature.
         let Type::Method { params, ret } = fun.tpe() else {
             return tree.clone();
         };
@@ -379,7 +376,7 @@ impl MiniPhase for ElimRepeated {
             )
         };
         new_args.push(wrapped);
-        // Retype the function tree with the swept signature.
+        // Retype the function tree with the array signature.
         let mut new_ps: Vec<Type> = ps[..fixed].to_vec();
         new_ps.push(Type::Array(elem.clone()));
         let new_fun = ctx.retyped(
@@ -717,26 +714,6 @@ impl MiniPhase for RestoreScopes {
             }
         }
         Ok(())
-    }
-}
-
-/// Tracks per-method signature rewrites keyed by symbol (shared by phases
-/// that change signatures during their symbol sweep and later need the
-/// original shape at call sites).
-#[derive(Default, Debug)]
-pub struct SigMemo {
-    map: HashMap<SymbolId, Type>,
-}
-
-impl SigMemo {
-    /// Records `sym`'s pre-rewrite info.
-    pub fn remember(&mut self, sym: SymbolId, original: Type) {
-        self.map.insert(sym, original);
-    }
-
-    /// The recorded original info, if any.
-    pub fn original(&self, sym: SymbolId) -> Option<&Type> {
-        self.map.get(&sym)
     }
 }
 
