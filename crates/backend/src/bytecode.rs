@@ -84,10 +84,10 @@ pub enum Cmp {
 /// **superinstructions** produced by the peephole pass
 /// ([`crate::codegen::fuse`]) over the hottest decoded pairs, and
 /// [`Insn::CallVirtualIC`] is the inline-cache rewrite of `CallVirtual`
-/// that the VM applies per call site when caches are enabled. Both
-/// rewrites are applied to a *prepared copy* of the code at VM
-/// construction; [`Function::code`] as stored in the [`Program`] stays
-/// plain so one linked program serves fast and reference execution alike.
+/// that the fast VM mode applies per call site. Both rewrites are applied
+/// to a *prepared copy* of the code at VM construction; [`Function::code`]
+/// as stored in the [`Program`] stays plain so one linked program serves
+/// fast and reference execution alike.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Insn {
     /// Push an integer constant.

@@ -851,8 +851,8 @@ impl FnCompiler<'_, '_> {
 /// space.
 ///
 /// Codegen stores plain code in the [`Program`]; the VM applies this pass
-/// to a prepared copy when `VmOptions::superinstructions` is on, so a
-/// single linked program serves both fast and reference execution. Fused
+/// to a prepared copy in its fast mode, so a single linked program serves
+/// both fast and reference execution. Fused
 /// instructions charge fuel per constituent instruction, keeping
 /// out-of-fuel traps position-identical with the reference interpreter.
 pub fn fuse(code: &[Insn], handlers: &[Handler]) -> (Vec<Insn>, Vec<Handler>) {

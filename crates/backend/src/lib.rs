@@ -15,7 +15,7 @@ pub use bytecode::{
     ClassId, Cmp, FnId, Function, Handler, Insn, MethodSlot, Program, TypeTest, VmClass, NO_FIELD,
 };
 pub use codegen::{fuse, generate, CodegenError};
-pub use vm::{Value, Vm, VmError, VmOptions, VmStats, DEFAULT_MAX_FRAMES};
+pub use vm::{Value, Vm, VmError, VmMode, VmOptions, VmStats, DEFAULT_MAX_FRAMES};
 
 #[cfg(test)]
 mod tests;

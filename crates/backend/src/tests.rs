@@ -105,6 +105,23 @@ fn fusion_rewrites_hot_pairs_without_changing_results() {
 }
 
 #[test]
+fn reference_mode_traps_on_fast_only_opcodes() {
+    // Only fast-mode preparation produces superinstructions and IC sites;
+    // the frozen reference interpreter reports them as a structured trap.
+    let p = prog(
+        vec![],
+        vec![fun("f", 0, 2, vec![Insn::LoadLoad(0, 1), Insn::Ret])],
+        Some(0),
+        vec![],
+    );
+    let mut vm = Vm::with_options(&p, VmOptions::reference());
+    match vm.run_main() {
+        Err(VmError::Trap(m)) => assert!(m.contains("LoadLoad(0, 1)"), "{m}"),
+        other => panic!("expected trap, got {other:?}"),
+    }
+}
+
+#[test]
 fn exceptions_unwind_to_handlers() {
     let mut f = fun(
         "risky",
@@ -190,7 +207,7 @@ fn objects_fields_and_virtual_dispatch() {
 }
 
 #[test]
-fn inline_caches_hit_on_monomorphic_sites() {
+fn ic_hits_on_monomorphic_sites() {
     // Call b.get() in a loop: the first call misses and fills the cache,
     // every later call hits.
     let get_name = Name::intern("get");

@@ -2,48 +2,52 @@
 //!
 //! # Execution design note
 //!
-//! The VM has two interpreters pinned byte-identical to each other by the
-//! `vm_equivalence` proptest, selected per feature by [`VmOptions`]:
+//! The VM has exactly two modes, selected by [`VmOptions::mode`] and
+//! pinned byte-identical to each other by the `vm_equivalence` proptest:
 //!
-//! - **Reference mode** (`VmOptions::reference()`, all features off) is the
-//!   original interpreter: a recursive `invoke` that allocates a fresh
-//!   locals vector and operand stack per call, probes `HashMap<Name, FnId>`
-//!   vtables on every virtual/direct call, and resolves field ids through a
-//!   per-class `HashMap`. It is kept as the semantic oracle *and* as the
-//!   honest A/B baseline for the `exec` bench — it genuinely pays the old
-//!   per-call costs.
+//! - **Reference** ([`VmMode::Reference`], `VmOptions::reference()`) is the
+//!   original interpreter, frozen as the semantic oracle: a recursive
+//!   `invoke` over the *unfused* code that allocates a fresh locals vector
+//!   and operand stack per call, probes `HashMap<Name, FnId>` vtables on
+//!   every virtual/direct call, and resolves field ids through a per-class
+//!   `HashMap`. It is also the honest A/B baseline for the `exec` bench —
+//!   it genuinely pays the old per-call costs.
 //!
-//! - **Fast mode** (`VmOptions::fast()`, the default for [`Vm::new`])
-//!   layers three classic OO-VM optimizations, each independently
-//!   toggleable so ablations can be benchmarked and equivalence-tested:
+//! - **Fast** ([`VmMode::Fast`], `VmOptions::fast()`, the default for
+//!   [`Vm::new`]) runs a non-recursive dispatch loop over a prepared copy
+//!   of the code with three classic OO-VM optimizations always on:
 //!
-//!   1. *Link-time dispatch resolution* (`resolved_dispatch`): call sites
-//!      carry interned [`MethodSlot`] ids and dispatch indexes the dense
+//!   1. *Link-time dispatch resolution*: call sites carry interned
+//!      [`MethodSlot`] ids and dispatch indexes the dense
 //!      [`VmClass::vtable_slots`] / [`VmClass::field_slots`] tables built
 //!      by [`Program::link`] — an array load instead of a hash probe.
-//!   2. *Monomorphic inline caches* (`inline_caches`): at VM construction
-//!      every `CallVirtual` in the prepared code is rewritten to
-//!      `CallVirtualIC` with a per-site cache entry (`ClassId → FnId`,
-//!      hit/miss counted in [`VmStats`]). Monomorphic sites skip even the
-//!      dense-table load after the first call.
-//!   3. *Superinstructions* (`superinstructions`): the peephole pass
-//!      [`crate::codegen::fuse`] fuses the hottest decoded pairs
-//!      (`Load;Load`, `Load;ConstInt`, `ConstInt;Add`, `Add;Store`,
-//!      `Load;CallStatic`, integer-compare + branch) in a prepared copy
-//!      of the code — on the exec corpus over 60% of logical
-//!      instructions retire inside a fused pair. Fused instructions
-//!      charge fuel per constituent instruction so out-of-fuel traps
-//!      stay position-identical with reference execution, and the
-//!      merged dataflow (e.g. `AddConst` never materializing its
-//!      constant) is legal because the intermediate stack state between
-//!      the two halves is unobservable.
+//!   2. *Monomorphic inline caches*: at VM construction every
+//!      `CallVirtual` in the prepared code is rewritten to `CallVirtualIC`
+//!      with a per-site cache entry (`ClassId → FnId`, hit/miss counted in
+//!      [`VmStats`]). Monomorphic sites skip even the dense-table load
+//!      after the first call.
+//!   3. *Superinstructions*: the peephole pass [`crate::codegen::fuse`]
+//!      fuses the hottest decoded pairs (`Load;Load`, `Load;ConstInt`,
+//!      `ConstInt;Add`, `Add;Store`, `Load;CallStatic`, integer-compare +
+//!      branch) — on the exec corpus over 60% of logical instructions
+//!      retire inside a fused pair. Fused instructions charge fuel per
+//!      constituent instruction so out-of-fuel traps stay
+//!      position-identical with reference execution, and the merged
+//!      dataflow (e.g. `AddConst` never materializing its constant) is
+//!      legal because the intermediate stack state between the two halves
+//!      is unobservable.
 //!
-//!   Independently, *flat frames* (`flat_frames`) replaces the recursive
-//!   `invoke` with a non-recursive dispatch loop over an explicit frame
-//!   stack (mirroring the middle end's iterative tree walk): one shared
-//!   locals arena and one shared operand stack with per-frame base
-//!   offsets, so calls reuse storage instead of allocating two vectors
-//!   each.
+//!   Frames live on an explicit frame stack (mirroring the middle end's
+//!   iterative tree walk): one shared locals arena and one shared operand
+//!   stack with per-frame base offsets, so calls reuse storage instead of
+//!   allocating two vectors each.
+//!
+//! Each interpreter implements only the opcodes its prepared code can
+//! contain; an opcode a mode never sees (a superinstruction or
+//! `CallVirtualIC` in reference code, a plain `CallVirtual` in fast code)
+//! is a [`VmError::Trap`]. The pure value arms (arithmetic, comparisons,
+//! arrays, casts) are deliberately written out in both loops: sharing them
+//! would stop the reference being an independent oracle.
 //!
 //! Both modes enforce the same guest call-depth budget
 //! ([`VmOptions::max_frames`]): deep guest recursion degrades to a
@@ -155,50 +159,41 @@ enum Flow {
 /// while allowing far deeper guest recursion than the corpora use.
 pub const DEFAULT_MAX_FRAMES: u32 = 512;
 
-/// Execution-feature toggles. [`VmOptions::fast`] (the [`Default`], used by
-/// [`Vm::new`]) turns everything on; [`VmOptions::reference`] turns
-/// everything off and reproduces the original interpreter's costs. Each
-/// flag is independent so the `exec` bench and the equivalence proptest can
-/// ablate features one at a time.
+/// Which interpreter a [`Vm`] runs (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VmMode {
+    /// Flat frame stack over fused, IC-rewritten code with slot-resolved
+    /// dispatch (requires a [`Program::link`]ed program).
+    Fast,
+    /// The recursive, hash-probing original interpreter over unfused code:
+    /// semantic oracle and A/B baseline.
+    Reference,
+}
+
+/// VM configuration: the interpreter mode plus the guest call-depth
+/// budget. [`VmOptions::fast`] is the [`Default`] used by [`Vm::new`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VmOptions {
-    /// Dispatch through dense slot-indexed vtables / field tables
-    /// (requires a [`Program::link`]ed program) instead of per-call
-    /// `HashMap` probes.
-    pub resolved_dispatch: bool,
-    /// Rewrite virtual call sites to monomorphic inline caches.
-    pub inline_caches: bool,
-    /// Run the [`crate::codegen::fuse`] peephole over a prepared copy of
-    /// the code.
-    pub superinstructions: bool,
-    /// Execute on an explicit frame stack with reused locals storage
-    /// instead of host recursion.
-    pub flat_frames: bool,
+    /// Which interpreter runs.
+    pub mode: VmMode,
     /// Guest call-depth budget (both modes); exceeding it is a structured
     /// [`VmError::Trap`], never a host stack overflow.
     pub max_frames: u32,
 }
 
 impl VmOptions {
-    /// All execution features on (the production configuration).
+    /// The production interpreter.
     pub fn fast() -> VmOptions {
         VmOptions {
-            resolved_dispatch: true,
-            inline_caches: true,
-            superinstructions: true,
-            flat_frames: true,
+            mode: VmMode::Fast,
             max_frames: DEFAULT_MAX_FRAMES,
         }
     }
 
-    /// All execution features off: the original recursive, hash-probing
-    /// interpreter. Semantic oracle and A/B baseline.
+    /// The frozen reference interpreter.
     pub fn reference() -> VmOptions {
         VmOptions {
-            resolved_dispatch: false,
-            inline_caches: false,
-            superinstructions: false,
-            flat_frames: false,
+            mode: VmMode::Reference,
             max_frames: DEFAULT_MAX_FRAMES,
         }
     }
@@ -253,7 +248,7 @@ const IC_EMPTY: IcEntry = IcEntry {
 };
 
 /// Per-function executable code as prepared at VM construction: a plain
-/// copy in reference mode, fused and/or IC-rewritten in fast mode.
+/// copy in reference mode, fused and IC-rewritten in fast mode.
 struct FnCode {
     name: String,
     n_params: u16,
@@ -297,15 +292,16 @@ impl<'p> Vm<'p> {
         Vm::with_options(program, VmOptions::default())
     }
 
-    /// Creates a VM with explicit [`VmOptions`]. `resolved_dispatch`
-    /// requires the program to have been [`Program::link`]ed (codegen
-    /// links automatically; hand-assembled programs must call it).
+    /// Creates a VM with explicit [`VmOptions`]. Fast mode requires the
+    /// program to have been [`Program::link`]ed (codegen links
+    /// automatically; hand-assembled programs must call it).
     pub fn with_options(program: &'p Program, opts: VmOptions) -> Vm<'p> {
-        if opts.resolved_dispatch {
+        let fast = opts.mode == VmMode::Fast;
+        if fast {
             let n = program.method_names.len();
             assert!(
                 program.classes.iter().all(|c| c.vtable_slots.len() == n),
-                "VmOptions::resolved_dispatch requires a linked Program (call Program::link)"
+                "VmMode::Fast requires a linked Program (call Program::link)"
             );
         }
         let mut ics = Vec::new();
@@ -313,12 +309,8 @@ impl<'p> Vm<'p> {
             .functions
             .iter()
             .map(|f| {
-                let (mut code, handlers) = if opts.superinstructions {
-                    crate::codegen::fuse(&f.code, &f.handlers)
-                } else {
-                    (f.code.clone(), f.handlers.clone())
-                };
-                if opts.inline_caches {
+                let (code, handlers) = if fast {
+                    let (mut code, handlers) = crate::codegen::fuse(&f.code, &f.handlers);
                     for i in &mut code {
                         if let Insn::CallVirtual(slot, argc) = *i {
                             let site = ics.len() as u32;
@@ -326,7 +318,10 @@ impl<'p> Vm<'p> {
                             *i = Insn::CallVirtualIC(slot, argc, site);
                         }
                     }
-                }
+                    (code, handlers)
+                } else {
+                    (f.code.clone(), f.handlers.clone())
+                };
                 Rc::new(FnCode {
                     name: f.name.clone(),
                     n_params: f.n_params,
@@ -346,11 +341,6 @@ impl<'p> Vm<'p> {
             ics,
             depth: 0,
         }
-    }
-
-    /// The options this VM was built with.
-    pub fn options(&self) -> VmOptions {
-        self.opts
     }
 
     /// Runs the program's `main`.
@@ -379,14 +369,13 @@ impl<'p> Vm<'p> {
         // dispatches = fuel spent − fused retired.
         let fuel0 = self.fuel;
         let fused0 = self.stats.fused_retired;
-        let r = if self.opts.flat_frames {
-            self.run_flat(fid, args)
-        } else {
-            match self.invoke(fid, args) {
+        let r = match self.opts.mode {
+            VmMode::Fast => self.run_flat(fid, args),
+            VmMode::Reference => match self.invoke(fid, args) {
                 Ok(Flow::Value(v)) => Ok(v),
                 Ok(Flow::Exception(v)) => Err(VmError::Uncaught(v)),
                 Err(e) => Err(e),
-            }
+            },
         };
         let spent = fuel0 - self.fuel;
         self.stats.insns_retired += spent - (self.stats.fused_retired - fused0);
@@ -435,44 +424,43 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Resolve a virtual call: dense slot table in fast mode, by-name
-    /// `HashMap` probe in reference mode.
+    /// Fast-mode method lookup: the dense slot-indexed vtable.
     #[inline]
-    fn resolve_virtual(&self, recv: &Value, slot: MethodSlot) -> Option<FnId> {
-        match recv {
-            Value::Obj(o) => {
-                let class = &self.program.classes[o.class as usize];
-                if self.opts.resolved_dispatch {
-                    class.vtable_slots[slot as usize]
-                } else {
-                    class.vtable.get(&self.program.method_name(slot)).copied()
-                }
-            }
-            _ => None,
+    fn vtable_slot(&self, cls: ClassId, slot: MethodSlot) -> Option<FnId> {
+        self.program.classes[cls as usize].vtable_slots[slot as usize]
+    }
+
+    /// Fast-mode field lookup: the dense slot-indexed field table.
+    #[inline]
+    fn field_slot(&self, cls: ClassId, gid: u16) -> Option<u16> {
+        let class = &self.program.classes[cls as usize];
+        match class.field_slots.get(gid as usize).copied() {
+            Some(NO_FIELD) | None => None,
+            slot => slot,
         }
     }
 
-    #[inline]
-    fn resolve_direct(&self, cls: ClassId, slot: MethodSlot) -> Option<FnId> {
+    /// Reference-mode method lookup: a by-name `HashMap` probe.
+    fn vtable_by_name(&self, cls: ClassId, slot: MethodSlot) -> Option<FnId> {
         let class = &self.program.classes[cls as usize];
-        if self.opts.resolved_dispatch {
-            class.vtable_slots[slot as usize]
-        } else {
-            class.vtable.get(&self.program.method_name(slot)).copied()
-        }
+        class.vtable.get(&self.program.method_name(slot)).copied()
     }
 
-    #[inline]
-    fn resolve_field(&self, cls: ClassId, gid: u16) -> Option<u16> {
-        let class = &self.program.classes[cls as usize];
-        if self.opts.resolved_dispatch {
-            match class.field_slots.get(gid as usize).copied() {
-                Some(NO_FIELD) | None => None,
-                slot => slot,
-            }
-        } else {
-            class.field_resolve.get(&gid).copied()
-        }
+    /// Reference-mode field lookup: a per-class `HashMap` probe.
+    fn field_by_name(&self, cls: ClassId, gid: u16) -> Option<u16> {
+        self.program.classes[cls as usize]
+            .field_resolve
+            .get(&gid)
+            .copied()
+    }
+
+    /// The trap for an opcode outside the running mode's instruction set:
+    /// fast-mode preparation rewrites every `CallVirtual`, and only a
+    /// hand-built program can hand the reference interpreter a fast-only
+    /// opcode.
+    #[cold]
+    fn foreign_opcode(insn: Insn, mode: VmMode) -> VmError {
+        VmError::Trap(format!("opcode {insn:?} cannot run in {mode:?} mode"))
     }
 
     fn depth_trap(max: u32) -> VmError {
@@ -540,17 +528,6 @@ impl<'p> Vm<'p> {
                 continue;
             }};
         }
-        // Second fuel charge for the second half of a fused pair: keeps
-        // out-of-fuel traps position-identical with unfused execution.
-        macro_rules! fuel2 {
-            () => {
-                if self.fuel == 0 {
-                    return Err(VmError::Trap("out of fuel".into()));
-                } else {
-                    self.fuel -= 1;
-                }
-            };
-        }
         // Universal `Any` members when dispatch found no method.
         macro_rules! virtual_fallback {
             ($recv:expr, $slot:expr, $call_args:expr) => {{
@@ -612,7 +589,7 @@ impl<'p> Vm<'p> {
                     let recv = pop!();
                     match recv {
                         Value::Obj(o) => {
-                            let slot = self.resolve_field(o.class, gid).ok_or_else(|| {
+                            let slot = self.field_by_name(o.class, gid).ok_or_else(|| {
                                 VmError::Trap(format!("unknown field #{gid} read"))
                             })?;
                             stack.push(o.fields.borrow()[slot as usize].clone())
@@ -628,7 +605,7 @@ impl<'p> Vm<'p> {
                     let recv = pop!();
                     match recv {
                         Value::Obj(o) => {
-                            let slot = self.resolve_field(o.class, gid).ok_or_else(|| {
+                            let slot = self.field_by_name(o.class, gid).ok_or_else(|| {
                                 VmError::Trap(format!("unknown field #{gid} write"))
                             })?;
                             o.fields.borrow_mut()[slot as usize] = v;
@@ -651,36 +628,9 @@ impl<'p> Vm<'p> {
                         .first()
                         .ok_or_else(|| VmError::Trap("virtual call without receiver".into()))?
                         .clone();
-                    match self.resolve_virtual(&recv, slot) {
-                        Some(g) => invoke_to_stack!(g, call_args),
-                        None => virtual_fallback!(recv, slot, call_args),
-                    }
-                }
-                Insn::CallVirtualIC(slot, argc, site) => {
-                    let split = stack.len() - argc as usize;
-                    let call_args = stack.split_off(split);
-                    let recv = call_args
-                        .first()
-                        .ok_or_else(|| VmError::Trap("virtual call without receiver".into()))?
-                        .clone();
-                    let target = if let Value::Obj(o) = &recv {
-                        let entry = self.ics[site as usize].get();
-                        if entry.class == o.class {
-                            self.stats.ic_hits += 1;
-                            Some(entry.target)
-                        } else {
-                            self.stats.ic_misses += 1;
-                            let resolved = self.resolve_virtual(&recv, slot);
-                            if let Some(g) = resolved {
-                                self.ics[site as usize].set(IcEntry {
-                                    class: o.class,
-                                    target: g,
-                                });
-                            }
-                            resolved
-                        }
-                    } else {
-                        None
+                    let target = match &recv {
+                        Value::Obj(o) => self.vtable_by_name(o.class, slot),
+                        _ => None,
                     };
                     match target {
                         Some(g) => invoke_to_stack!(g, call_args),
@@ -690,7 +640,7 @@ impl<'p> Vm<'p> {
                 Insn::CallDirect(cls, slot, argc) => {
                     let split = stack.len() - argc as usize;
                     let call_args = stack.split_off(split);
-                    match self.resolve_direct(cls, slot) {
+                    match self.vtable_by_name(cls, slot) {
                         Some(g) => invoke_to_stack!(g, call_args),
                         None if self.program.method_name(slot) == mini_ir::std_names::init() => {
                             // Fieldless class without an explicit ctor.
@@ -909,62 +859,14 @@ impl<'p> Vm<'p> {
                     };
                     stack.push(Value::Int(s.chars().count() as i64));
                 }
-                Insn::LoadLoad(a, b) => {
-                    self.stats.fused_retired += 1;
-                    stack.push(locals[a as usize].clone());
-                    fuel2!();
-                    stack.push(locals[b as usize].clone());
-                }
-                Insn::LoadConst(a, k) => {
-                    self.stats.fused_retired += 1;
-                    stack.push(locals[a as usize].clone());
-                    fuel2!();
-                    stack.push(Value::Int(k));
-                }
-                Insn::AddConst(k) => {
-                    self.stats.fused_retired += 1;
-                    fuel2!();
-                    let a = pop!().int()?;
-                    stack.push(Value::Int(a.wrapping_add(k)));
-                }
-                Insn::AddStore(s) => {
-                    self.stats.fused_retired += 1;
-                    let b = pop!().int()?;
-                    let a = pop!().int()?;
-                    fuel2!();
-                    locals[s as usize] = Value::Int(a.wrapping_add(b));
-                }
-                Insn::LoadCall(x, g, argc) => {
-                    self.stats.fused_retired += 1;
-                    stack.push(locals[x as usize].clone());
-                    fuel2!();
-                    let split = stack.len() - argc as usize;
-                    let call_args = stack.split_off(split);
-                    invoke_to_stack!(g, call_args);
-                }
-                Insn::CmpBranch(kind, sense, t) => {
-                    self.stats.fused_retired += 1;
-                    let b = pop!();
-                    let a = pop!();
-                    let cond = match kind {
-                        Cmp::Eq => Self::values_equal(&a, &b),
-                        kind => {
-                            // Type-check in the reference pop order (b first).
-                            let bi = b.int()?;
-                            let ai = a.int()?;
-                            match kind {
-                                Cmp::Lt => ai < bi,
-                                Cmp::Gt => ai > bi,
-                                Cmp::Le => ai <= bi,
-                                Cmp::Ge => ai >= bi,
-                                Cmp::Eq => unreachable!("handled above"),
-                            }
-                        }
-                    };
-                    fuel2!();
-                    if cond == sense {
-                        pc = t as usize;
-                    }
+                Insn::CallVirtualIC(..)
+                | Insn::LoadLoad(..)
+                | Insn::LoadConst(..)
+                | Insn::AddConst(_)
+                | Insn::AddStore(_)
+                | Insn::LoadCall(..)
+                | Insn::CmpBranch(..) => {
+                    return Err(Self::foreign_opcode(insn, VmMode::Reference));
                 }
             }
         }
@@ -1150,7 +1052,7 @@ impl<'p> Vm<'p> {
                     let recv = pop!();
                     match recv {
                         Value::Obj(o) => {
-                            let slot = self.resolve_field(o.class, gid).ok_or_else(|| {
+                            let slot = self.field_slot(o.class, gid).ok_or_else(|| {
                                 VmError::Trap(format!("unknown field #{gid} read"))
                             })?;
                             stack.push(o.fields.borrow()[slot as usize].clone())
@@ -1166,7 +1068,7 @@ impl<'p> Vm<'p> {
                     let recv = pop!();
                     match recv {
                         Value::Obj(o) => {
-                            let slot = self.resolve_field(o.class, gid).ok_or_else(|| {
+                            let slot = self.field_slot(o.class, gid).ok_or_else(|| {
                                 VmError::Trap(format!("unknown field #{gid} write"))
                             })?;
                             o.fields.borrow_mut()[slot as usize] = v;
@@ -1178,27 +1080,6 @@ impl<'p> Vm<'p> {
                     }
                 }
                 Insn::CallStatic(g, argc) => do_call!(g, argc as usize),
-                Insn::CallVirtual(slot, argc) => {
-                    let argc = argc as usize;
-                    if argc == 0 {
-                        return Err(VmError::Trap("virtual call without receiver".into()));
-                    }
-                    if stack.len() < stack_base + argc {
-                        return Err(VmError::Trap(format!("stack underflow in `{}`", cur.name)));
-                    }
-                    // Peek the receiver in place: the hit path never needs
-                    // to clone it (its Rc stays on the stack and moves into
-                    // the callee's frame with the other args).
-                    match self.resolve_virtual(&stack[stack.len() - argc], slot) {
-                        Some(g) => do_call!(g, argc),
-                        None => {
-                            let split = stack.len() - argc;
-                            let call_args = stack.split_off(split);
-                            let recv = call_args[0].clone();
-                            virtual_fallback!(recv, slot, call_args);
-                        }
-                    }
-                }
                 Insn::CallVirtualIC(slot, argc, site) => {
                     let argc = argc as usize;
                     if argc == 0 {
@@ -1216,7 +1097,7 @@ impl<'p> Vm<'p> {
                             } else {
                                 let class = o.class;
                                 self.stats.ic_misses += 1;
-                                let resolved = self.resolve_direct(class, slot);
+                                let resolved = self.vtable_slot(class, slot);
                                 if let Some(g) = resolved {
                                     self.ics[site as usize].set(IcEntry { class, target: g });
                                 }
@@ -1240,7 +1121,7 @@ impl<'p> Vm<'p> {
                     if stack.len() < stack_base + argc {
                         return Err(VmError::Trap(format!("stack underflow in `{}`", cur.name)));
                     }
-                    match self.resolve_direct(cls, slot) {
+                    match self.vtable_slot(cls, slot) {
                         Some(g) => do_call!(g, argc),
                         None if self.program.method_name(slot) == mini_ir::std_names::init() => {
                             // Fieldless class without an explicit ctor: the
@@ -1257,6 +1138,7 @@ impl<'p> Vm<'p> {
                         }
                     }
                 }
+                Insn::CallVirtual(..) => return Err(Self::foreign_opcode(insn, VmMode::Fast)),
                 Insn::New(cls) => {
                     let n = self.program.classes[cls as usize].n_fields as usize;
                     stack.push(Value::Obj(Rc::new(ObjCell {

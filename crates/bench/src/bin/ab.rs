@@ -1,14 +1,13 @@
 //! `ab` — the productized paired in-process A/B harness.
 //!
 //! Cross-process benchmark timings on shared hosts drift by double-digit
-//! percentages minute to minute, so `scripts/ab_pipeline.sh` pioneered a
-//! paired methodology: run both contenders in ONE process, alternating
-//! paired repetitions, and report per-side minima plus the median of
-//! per-repetition paired ratios. That script exists to compare the working
-//! tree against a *historical* stack (it vendors old crates via a git
-//! worktree); this binary wraps the same methodology for comparing two
-//! **configurations of the current stack**, which is what perf PRs need
-//! day to day:
+//! percentages minute to minute, so this harness uses a paired
+//! methodology: run both contenders in ONE process, alternating paired
+//! repetitions, and report per-side minima plus the median of
+//! per-repetition paired ratios. It compares two **configurations of the
+//! current stack**, which is what perf PRs need day to day (for a
+//! before/after comparison across commits, build this binary in a
+//! checkout of each and run them back to back):
 //!
 //! ```text
 //! cargo run --release -p bench --bin ab -- [SPEC_B] [SPEC_A] [REPS] [LOC]
@@ -270,8 +269,7 @@ fn run_compile(w: &workload::Workload, spec: &Spec) -> (Duration, Observed) {
 
 /// One timed run: untimed frontend, then plan construction +
 /// `Pipeline::run_units` (or the parallel executor for `+jobsN` specs) +
-/// teardown under the clock (the same routine as `scripts/ab_pipeline.sh`
-/// and the `pipeline_throughput` bench).
+/// teardown under the clock.
 fn run_once(w: &workload::Workload, spec: &Spec) -> (Duration, ExecStats) {
     let opts = spec.compiler_options();
     let mut ctx = Ctx::new();

@@ -14,13 +14,10 @@
 //! cargo run --release -p bench --bin exec -- [SPEC_B] [SPEC_A] [REPS] [ITERS]
 //! ```
 //!
-//! A spec is `fast` (all optimizations on) or `ref` (the reference
-//! interpreter: by-name `HashMap` dispatch, no caches, no fusion,
-//! host-recursive frames) followed by optional `+`-separated feature
-//! enables for ablation runs: `+slots` (link-time slot-resolved dispatch
-//! tables), `+ic` (monomorphic inline caches), `+fuse`
-//! (superinstructions), `+flat` (flat frame stack). `ref+ic` times the
-//! inline caches alone; `fast` is `ref+slots+ic+fuse+flat`.
+//! A spec is `fast` (the production interpreter: slot-resolved dispatch
+//! tables, monomorphic inline caches, superinstructions, flat frame stack)
+//! or `ref` (the frozen reference interpreter: by-name `HashMap`
+//! dispatch, no caches, no fusion, host-recursive frames).
 //!
 //! Every repetition's captured output and result are compared
 //! byte-for-byte against the first run — a paired perf harness that could
@@ -38,7 +35,7 @@ use mini_driver::{compile_sources, CompilerOptions};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: exec [SPEC_B] [SPEC_A] [REPS] [ITERS]\n\
-     SPEC    = (fast|ref)[+slots][+ic][+fuse][+flat]\n\
+     SPEC    = fast|ref\n\
      REPS    = positive integer (default 9, env REPS)\n\
      ITERS   = positive integer: corpus loop trip count (default 6000, env EXEC_ITERS)";
 
@@ -54,21 +51,11 @@ struct Spec {
 }
 
 fn parse_spec(s: &str) -> Spec {
-    let mut parts = s.split('+');
-    let mut opts = match parts.next().unwrap_or_default() {
+    let opts = match s {
         "fast" => VmOptions::fast(),
         "ref" => VmOptions::reference(),
         other => usage_exit(&format!("unknown spec `{other}`")),
     };
-    for modifier in parts {
-        match modifier {
-            "slots" => opts.resolved_dispatch = true,
-            "ic" => opts.inline_caches = true,
-            "fuse" => opts.superinstructions = true,
-            "flat" => opts.flat_frames = true,
-            other => usage_exit(&format!("unknown spec modifier `+{other}`")),
-        }
-    }
     Spec {
         opts,
         label: s.to_string(),

@@ -46,6 +46,7 @@ use mini_backend::{generate, Program, Value, Vm};
 use mini_ir::{Ctx, TreeRef};
 use miniphase::{
     build_plan, CompilationUnit, FusionOptions, MiniPhase, PhasePlan, PlanOptions, SubtreePruning,
+    WorkerInstrumentation,
 };
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -492,6 +493,20 @@ pub fn compile_sources(
     sources: &[(&str, &str)],
     opts: &CompilerOptions,
 ) -> Result<Compiled, CompileError> {
+    compile_instrumented(sources, opts, &miniphase::NoInstrumentation).map(|(compiled, _)| compiled)
+}
+
+/// The one-shot driver behind [`compile_sources`] and
+/// [`metrics::measure`], generic over what each transform worker installs
+/// around its units (nothing, or the GC/cache simulators). Returns the
+/// compile plus every worker's instrumentation data in unit order, so
+/// measured and plain compiles share one executor, one panic fence, one
+/// deadline and one error classification.
+pub(crate) fn compile_instrumented<I: WorkerInstrumentation>(
+    sources: &[(&str, &str)],
+    opts: &CompilerOptions,
+    instr: &I,
+) -> Result<(Compiled, Vec<I::Data>), CompileError> {
     let deadline = opts.budgets.deadline.map(|d| Instant::now() + d);
     let mut ctx = Ctx::new();
     opts.configure_ctx(&mut ctx);
@@ -528,7 +543,7 @@ pub fn compile_sources(
         units,
         opts.effective_jobs(),
         opts.check,
-        &miniphase::NoInstrumentation,
+        instr,
         miniphase::ParallelTuning::default(),
         &controls,
     );
@@ -553,7 +568,7 @@ pub fn compile_sources(
     let program = generate(&ctx, &trees).map_err(CompileError::Codegen)?;
     let backend = be_start.elapsed();
 
-    Ok(Compiled {
+    let compiled = Compiled {
         program,
         ctx,
         times: StageTimes {
@@ -570,7 +585,8 @@ pub fn compile_sources(
         recompiled_units: sources.len(),
         retried_sequential: false,
         units,
-    })
+    };
+    Ok((compiled, run.worker_data))
 }
 
 /// Compiles a single anonymous source.

@@ -8,14 +8,13 @@
 //! transformation pipeline is instrumented, matching the paper's isolation
 //! of the middle phases from the front end and code generator (§5.3).
 
-use crate::{phase_factory, standard_plan, CompileError, CompilerOptions, StageTimes};
+use crate::{CompileError, CompilerOptions, StageTimes};
 use cache_sim::{CacheConfig, Counters, CycleModel, Hierarchy, Kind};
 use gc_sim::{GcConfig, GcSim, GcStats};
 use mini_ir::{trace, AccessSink, AllocStats, Ctx, NodeId};
-use miniphase::{CompilationUnit, ExecStats, Pipeline, WorkerInstrumentation};
+use miniphase::{ExecStats, WorkerInstrumentation};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Instant;
 
 /// Cost weights of the abstract instruction model. One transform call is an
 /// order of magnitude more work than the traversal bookkeeping for a node —
@@ -170,7 +169,7 @@ impl Instrumentation {
     }
 }
 
-/// Per-worker simulator fan-out for parallel measured runs: each worker
+/// Per-worker simulator fan-out for measured runs: each worker
 /// gets its own GC simulator (installed as that thread's heap sink) and
 /// cache hierarchy (installed as that worker context's access sink), and
 /// the counters fan back in worker order — which is unit order, since
@@ -251,6 +250,11 @@ fn merge_cache(into: &mut Counters, from: &Counters) {
 
 /// Compiles `sources` under `opts`, instrumenting the transform pipeline.
 ///
+/// The compile goes through the same one-shot driver as
+/// [`crate::compile_sources`] — same fenced executor, deadline and error
+/// classification — with one simulator pair installed per transform
+/// worker; the per-worker counters are summed in unit order.
+///
 /// # Errors
 ///
 /// Same failure modes as [`crate::compile_sources`].
@@ -259,163 +263,39 @@ pub fn measure(
     opts: &CompilerOptions,
     instr: Instrumentation,
 ) -> Result<Measurement, CompileError> {
-    let mut ctx = Ctx::new();
-    opts.configure_ctx(&mut ctx);
-
-    // Frontend (not instrumented).
-    let fe_start = Instant::now();
-    let mut units = Vec::with_capacity(sources.len());
-    let mut corpus_loc = 0usize;
-    for (name, src) in sources {
-        corpus_loc += src.lines().count();
-        let typed = mini_front::compile_source(&mut ctx, name, src).map_err(CompileError::Parse)?;
-        units.push(CompilationUnit::new(typed.name, typed.tree));
+    let sims = PerWorkerSims {
+        gc: instr.gc,
+        cache: instr.cache,
+        gc_config: instr.gc_config.unwrap_or_default(),
+        cache_config: instr
+            .cache_config
+            .unwrap_or_else(CacheConfig::scaled_to_corpus),
+    };
+    let (compiled, worker_data) = crate::compile_instrumented(sources, opts, &sims)?;
+    let mut gc = GcStats::default();
+    let mut cache = Counters::default();
+    let mut alloc = AllocStats::default();
+    for (g, c, a) in &worker_data {
+        merge_gc(&mut gc, g);
+        merge_cache(&mut cache, c);
+        alloc.nodes += a.nodes;
+        alloc.bytes += a.bytes;
     }
-    let frontend = fe_start.elapsed();
-    if ctx.has_errors() {
-        return Err(CompileError::Diagnostics(std::mem::take(&mut ctx.errors)));
-    }
-
-    // Instrumented transform pipeline.
-    let (phases, plan) = standard_plan(opts)?;
-    let groups = plan.group_count();
-    let gc_config = instr.gc_config.unwrap_or_default();
-    let cache_config = instr
-        .cache_config
-        .unwrap_or_else(CacheConfig::scaled_to_corpus);
-
-    let (units, exec, alloc, gc_stats, counters, transforms, effective_jobs) =
-        if opts.effective_jobs() > 1 {
-            // Parallel measured run: one simulator pair per chunk (installed
-            // after the trees are imported, so the streams cover the transform
-            // pipeline only, as below), counters fanned back in in unit order.
-            // Chunks build the same phase list as `plan` (analysis prefix
-            // included), inside the controlled executor's panic fence.
-            drop(phases);
-            let sims = PerWorkerSims {
-                gc: instr.gc,
-                cache: instr.cache,
-                gc_config,
-                cache_config,
-            };
-            let tr_start = Instant::now();
-            let run = miniphase::run_units_parallel_controlled(
-                &mut ctx,
-                &phase_factory(opts.lint, opts.dce),
-                &plan,
-                opts.fusion,
-                units,
-                opts.effective_jobs(),
-                opts.check,
-                &sims,
-                miniphase::ParallelTuning::default(),
-                &miniphase::RunControls::default(),
-            );
-            let transforms = tr_start.elapsed();
-            if let Some(fault) = run.faults.into_iter().next() {
-                return Err(fault.into());
-            }
-            let mut gc_stats = GcStats::default();
-            let mut counters = Counters::default();
-            let mut alloc = AllocStats::default();
-            for (g, c, a) in &run.worker_data {
-                merge_gc(&mut gc_stats, g);
-                merge_cache(&mut counters, c);
-                alloc.nodes += a.nodes;
-                alloc.bytes += a.bytes;
-            }
-            if ctx.has_errors() {
-                return Err(CompileError::Diagnostics(std::mem::take(&mut ctx.errors)));
-            }
-            if opts.check && !run.failures.is_empty() {
-                return Err(CompileError::Check(run.failures));
-            }
-            (
-                run.units,
-                run.stats,
-                alloc,
-                gc_stats,
-                counters,
-                transforms,
-                run.effective_jobs,
-            )
-        } else {
-            let mut pipeline = Pipeline::new(phases, &plan, opts.fusion);
-            pipeline.check = opts.check;
-
-            let gc = Rc::new(RefCell::new(GcSim::new(gc_config)));
-            let cache = Rc::new(RefCell::new(Hierarchy::new(cache_config)));
-            if instr.gc {
-                trace::install_heap_sink(Box::new(GcHook {
-                    sim: Rc::clone(&gc),
-                }));
-            }
-            if instr.cache {
-                ctx.access = Some(Box::new(CacheHook {
-                    h: Rc::clone(&cache),
-                }));
-            }
-            let alloc_before = ctx.stats;
-
-            let tr_start = Instant::now();
-            let units = pipeline.run_units(&mut ctx, units);
-            let transforms = tr_start.elapsed();
-
-            if instr.gc {
-                let _ = trace::take_heap_sink();
-            }
-            ctx.access = None;
-            let alloc = AllocStats {
-                nodes: ctx.stats.nodes - alloc_before.nodes,
-                bytes: ctx.stats.bytes - alloc_before.bytes,
-            };
-            if ctx.has_errors() {
-                return Err(CompileError::Diagnostics(std::mem::take(&mut ctx.errors)));
-            }
-            if opts.check && !pipeline.failures.is_empty() {
-                return Err(CompileError::Check(std::mem::take(&mut pipeline.failures)));
-            }
-            let gc_stats = gc.borrow().stats();
-            let counters = cache.borrow().counters();
-            (
-                units,
-                pipeline.stats,
-                alloc,
-                gc_stats,
-                counters,
-                transforms,
-                1,
-            )
-        };
-
-    // Backend (not instrumented).
-    let be_start = Instant::now();
-    let trees: Vec<mini_ir::TreeRef> = units.iter().map(|u| u.tree.clone()).collect();
-    let _program = mini_backend::generate(&ctx, &trees).map_err(CompileError::Codegen)?;
-    let backend = be_start.elapsed();
-
-    let imodel = InstructionModel::default();
-    let instructions = imodel.instructions(&exec, &alloc);
+    let instructions = InstructionModel::default().instructions(&compiled.exec, &alloc);
     let cmodel = CycleModel::default();
-    drop(units);
-
     Ok(Measurement {
         opts: *opts,
-        times: StageTimes {
-            frontend,
-            transforms,
-            backend,
-        },
-        exec,
+        times: compiled.times,
+        exec: compiled.exec,
         alloc,
-        gc: gc_stats,
-        cache: counters,
+        gc,
+        cache,
         instructions,
-        cycles: cmodel.cycles(instructions, &counters),
-        stalled_cycles: cmodel.stalled_cycles(instructions, &counters),
-        groups,
-        effective_jobs,
-        corpus_loc,
+        cycles: cmodel.cycles(instructions, &cache),
+        stalled_cycles: cmodel.stalled_cycles(instructions, &cache),
+        groups: compiled.groups,
+        effective_jobs: compiled.effective_jobs,
+        corpus_loc: sources.iter().map(|(_, src)| src.lines().count()).sum(),
     })
 }
 

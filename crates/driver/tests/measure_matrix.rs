@@ -6,11 +6,14 @@
 //! standard pipeline, so any lint or DCE plan panicked in the executor's
 //! plan/phase-list check. Every cell must measure without an escaped panic
 //! and report the same `ExecStats` as the sequential measured run and the
-//! one-shot driver.
+//! one-shot driver. Budgeted cells must fail the same way in both: a
+//! measured run once ignored the deadline and reported a tree-size breach
+//! as plain diagnostics.
 
 use mini_driver::metrics::{measure, Instrumentation};
-use mini_driver::{compile_sources, CompilerOptions};
+use mini_driver::{compile_sources, Budgets, CompileError, CompilerOptions};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 use workload::{generate, WorkloadConfig};
 
 #[test]
@@ -44,6 +47,55 @@ fn measure_matches_across_lint_dce_and_jobs() {
                     "{cell}: ExecStats differ from the one-shot run"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn measure_fails_budgets_like_the_one_shot_driver() {
+    let w = generate(&WorkloadConfig {
+        target_loc: 1_500,
+        seed: 11,
+        unit_loc: 250,
+    });
+    let sources = w.sources();
+    let budgets = [
+        (
+            "deadline",
+            Budgets {
+                deadline: Some(Duration::ZERO),
+                ..Budgets::default()
+            },
+        ),
+        (
+            "tree size",
+            Budgets {
+                max_tree_size: Some(64),
+                ..Budgets::default()
+            },
+        ),
+    ];
+    for (what, budgets) in budgets {
+        for jobs in [1, 2] {
+            let cell = format!("{what} jobs={jobs}");
+            let opts = CompilerOptions::fused()
+                .with_jobs(jobs)
+                .with_budgets(budgets);
+            let one_shot = compile_sources(&sources, &opts)
+                .err()
+                .unwrap_or_else(|| panic!("{cell}: one-shot compile fit the budget"));
+            let measured = measure(&sources, &opts, Instrumentation::default())
+                .err()
+                .unwrap_or_else(|| panic!("{cell}: measured compile fit the budget"));
+            assert!(
+                matches!(one_shot, CompileError::Budget(_)),
+                "{cell}: one-shot failed with {one_shot:?}"
+            );
+            assert_eq!(
+                std::mem::discriminant(&measured),
+                std::mem::discriminant(&one_shot),
+                "{cell}: measure failed with {measured:?}"
+            );
         }
     }
 }

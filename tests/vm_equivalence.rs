@@ -1,70 +1,18 @@
 //! Fast-VM ≡ reference-VM equivalence.
 //!
-//! The execution overhaul (slot-resolved dispatch, inline caches,
+//! The fast interpreter (slot-resolved dispatch, inline caches,
 //! superinstructions, flat frames) must be invisible at every observable
 //! surface: the returned value, the captured `println` stream
 //! (byte-identical), and trap/exception behavior including fuel exhaustion
-//! positions. These tests pin that across compiled corpora × feature
-//! ablations, plus the guest-recursion depth ceiling.
+//! positions. Its instruction accounting must also be conserved: every
+//! logical instruction the reference retires is either a fast dispatch or
+//! the second half of a fused pair. These tests pin that across compiled
+//! corpora, plus the guest-recursion depth ceiling.
 
 use miniphases::mini_backend::{Program, Vm, VmOptions, VmStats};
 use miniphases::mini_driver::{compile_sources, CompilerOptions};
 use miniphases::workload;
 use proptest::prelude::*;
-
-/// Every interesting option combination: reference, each feature alone,
-/// all-on, and a couple of pairs.
-fn ablations() -> Vec<(&'static str, VmOptions)> {
-    let r = VmOptions::reference();
-    vec![
-        ("reference", r),
-        (
-            "+slots",
-            VmOptions {
-                resolved_dispatch: true,
-                ..r
-            },
-        ),
-        (
-            "+ic",
-            VmOptions {
-                inline_caches: true,
-                ..r
-            },
-        ),
-        (
-            "+fuse",
-            VmOptions {
-                superinstructions: true,
-                ..r
-            },
-        ),
-        (
-            "+flat",
-            VmOptions {
-                flat_frames: true,
-                ..r
-            },
-        ),
-        (
-            "+flat+fuse",
-            VmOptions {
-                flat_frames: true,
-                superinstructions: true,
-                ..r
-            },
-        ),
-        (
-            "+slots+ic",
-            VmOptions {
-                resolved_dispatch: true,
-                inline_caches: true,
-                ..r
-            },
-        ),
-        ("fast", VmOptions::fast()),
-    ]
-}
 
 /// Runs `f` on a thread with a large stack: the *reference* interpreter
 /// recurses on the host stack (one `invoke` frame per guest frame, big in
@@ -92,14 +40,27 @@ fn run(program: &Program, opts: VmOptions, fuel: u64) -> (String, Vec<String>, V
     (outcome, vm.out, vm.stats)
 }
 
-/// Asserts every ablation matches the reference on outcome + output.
-fn assert_equivalent(program: &Program, fuel: u64) {
-    let (ref_outcome, ref_out, _) = run(program, VmOptions::reference(), fuel);
-    for (label, opts) in ablations() {
-        let (outcome, out, _) = run(program, opts, fuel);
-        assert_eq!(outcome, ref_outcome, "{label}: outcome diverged");
-        assert_eq!(out, ref_out, "{label}: output diverged");
-    }
+/// Runs `program` in both modes with the given fuel and asserts they agree
+/// on outcome, output, call depth and instruction accounting.
+fn assert_equivalent(program: &Program, fuel: u64, what: &str) {
+    let (ref_outcome, ref_out, ref_stats) = run(program, VmOptions::reference(), fuel);
+    let (outcome, out, stats) = run(program, VmOptions::fast(), fuel);
+    assert_eq!(outcome, ref_outcome, "{what}: outcome diverged");
+    assert_eq!(out, ref_out, "{what}: output diverged");
+    assert_eq!(
+        stats.insns_retired + stats.fused_retired,
+        ref_stats.insns_retired,
+        "{what}: fast dispatches + fused halves != reference instructions"
+    );
+    assert_eq!(
+        ref_stats.fused_retired + ref_stats.ic_hits + ref_stats.ic_misses,
+        0,
+        "{what}: reference ran fast-only machinery: {ref_stats:?}"
+    );
+    assert_eq!(
+        stats.peak_frames, ref_stats.peak_frames,
+        "{what}: peak frames diverged"
+    );
 }
 
 fn compile(units: &workload::Workload) -> Program {
@@ -116,7 +77,7 @@ fn generated_corpus_runs_identically_under_all_ablations() {
             seed: 23,
             unit_loc: 250,
         });
-        assert_equivalent(&compile(&w), u64::MAX);
+        assert_equivalent(&compile(&w), u64::MAX, "generated");
     });
 }
 
@@ -124,7 +85,8 @@ fn generated_corpus_runs_identically_under_all_ablations() {
 fn linked_corpus_runs_identically_under_all_ablations() {
     on_big_stack(|| {
         let cfg = workload::LinkedConfig { units: 8, seed: 42 };
-        assert_equivalent(&compile(&workload::generate_linked(&cfg)), u64::MAX);
+        let program = compile(&workload::generate_linked(&cfg));
+        assert_equivalent(&program, u64::MAX, "linked");
     });
 }
 
@@ -133,7 +95,7 @@ fn exec_corpus_runs_identically_and_exercises_the_fast_paths() {
     on_big_stack(|| {
         let cfg = workload::ExecConfig::small();
         let program = compile(&workload::generate_exec(&cfg));
-        assert_equivalent(&program, u64::MAX);
+        assert_equivalent(&program, u64::MAX, "exec");
         // The corpus must actually light up each optimization.
         let (_, _, stats) = run(&program, VmOptions::fast(), u64::MAX);
         assert!(stats.fused_retired > 0, "superinstructions idle: {stats:?}");
@@ -145,20 +107,16 @@ fn exec_corpus_runs_identically_and_exercises_the_fast_paths() {
 
 #[test]
 fn fuel_exhaustion_traps_at_identical_positions() {
-    // Out-of-fuel must fire after the same logical instruction in every
-    // mode — superinstructions charge per constituent — so the captured
+    // Out-of-fuel must fire after the same logical instruction in both
+    // modes — superinstructions charge per constituent — so the captured
     // output up to the trap is byte-identical.
     on_big_stack(|| {
         let cfg = workload::ExecConfig::small();
         let program = compile(&workload::generate_exec(&cfg));
         for fuel in [1_000u64, 10_000, 60_000] {
-            let (ref_outcome, ref_out, _) = run(&program, VmOptions::reference(), fuel);
+            let (ref_outcome, _, _) = run(&program, VmOptions::reference(), fuel);
             assert!(ref_outcome.contains("fuel"), "fuel too high: {ref_outcome}");
-            for (label, opts) in ablations() {
-                let (outcome, out, _) = run(&program, opts, fuel);
-                assert_eq!(outcome, ref_outcome, "{label} @ fuel {fuel}");
-                assert_eq!(out, ref_out, "{label} @ fuel {fuel}: output diverged");
-            }
+            assert_equivalent(&program, fuel, &format!("fuel {fuel}"));
         }
     });
 }
@@ -166,7 +124,7 @@ fn fuel_exhaustion_traps_at_identical_positions() {
 #[test]
 fn guest_recursion_hits_the_depth_ceiling_not_the_host_stack() {
     // Recursion ~4000 deep: far past DEFAULT_MAX_FRAMES, far short of what
-    // the big-stack host thread could take recursively. Every mode must
+    // the big-stack host thread could take recursively. Both modes must
     // surface the same structured trap.
     on_big_stack(|| {
         let src = "def f(n: Int): Int = if (n <= 0) 0 else f(n - 1) + 1\n\
@@ -174,16 +132,12 @@ fn guest_recursion_hits_the_depth_ceiling_not_the_host_stack() {
         let program = compile_sources(&[("deep.ms", src)], &CompilerOptions::fused())
             .expect("compiles")
             .program;
-        let (ref_outcome, ref_out, _) = run(&program, VmOptions::reference(), u64::MAX);
+        let (ref_outcome, _, _) = run(&program, VmOptions::reference(), u64::MAX);
         assert!(
             ref_outcome.contains("max call depth"),
             "expected depth trap, got {ref_outcome}"
         );
-        for (label, opts) in ablations() {
-            let (outcome, out, _) = run(&program, opts, u64::MAX);
-            assert_eq!(outcome, ref_outcome, "{label}: trap diverged");
-            assert_eq!(out, ref_out, "{label}: output diverged");
-        }
+        assert_equivalent(&program, u64::MAX, "depth trap");
         // A raised budget lets the same program finish in either mode.
         for base in [VmOptions::fast(), VmOptions::reference()] {
             let roomy = VmOptions {
@@ -224,8 +178,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Property: for any small exec corpus (seed, size, trip count) and any
-    /// fuel budget, every ablation is observably identical to the reference
-    /// interpreter.
+    /// fuel budget, the fast interpreter is observably identical to the
+    /// reference interpreter and conserves its instruction accounting.
     #[test]
     fn vm_fast_reference_equivalence(
         seed in 0u64..1_000,
@@ -237,12 +191,7 @@ proptest! {
         let fuel = if tight_fuel == 1 { 5_000 } else { u64::MAX };
         on_big_stack(move || {
             let program = compile(&workload::generate_exec(&cfg));
-            let (ref_outcome, ref_out, _) = run(&program, VmOptions::reference(), fuel);
-            for (label, opts) in ablations() {
-                let (outcome, out, _) = run(&program, opts, fuel);
-                assert_eq!(outcome, ref_outcome, "{label} diverged");
-                assert_eq!(out, ref_out, "{label}: output diverged");
-            }
+            assert_equivalent(&program, fuel, "proptest");
         });
     }
 }
