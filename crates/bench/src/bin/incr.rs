@@ -12,21 +12,27 @@
 //!   session recompiles the edited unit plus its (transitive) dependents.
 //!
 //! ```text
-//! cargo run --release -p bench --bin incr -- [UNITS] [REPS]
+//! cargo run --release -p bench --bin incr -- [UNITS] [REPS] [LABEL]
 //! ```
 //!
 //! Defaults: 16 units, 5 reps (median reported). The run **fails** (exit 1)
 //! if a warm body edit recompiles anything but exactly 1 unit, or if a warm
 //! signature edit fails to cascade — the cache-correctness smoke CI relies
-//! on. Wall-clock numbers are recorded to `BENCH_incremental.json` when
-//! `INCR_JSON` names a path.
+//! on. When `INCR_JSON` names a path, the medians are recorded there as one
+//! run named `LABEL` (default `run`), stamped with the date, the host
+//! (`nproc`, CPU model) and the command line. Runs already in the file are
+//! kept, except an earlier run of the same label, which is replaced — so
+//! two builds measured back to back on one host sit side by side.
 
 use mini_driver::{CompileSession, CompilerOptions};
 use std::time::{Duration, Instant};
 use workload::{generate_linked, linked_unit_name, linked_unit_source, LinkedConfig};
 
 fn usage_exit(msg: &str) -> ! {
-    eprintln!("{msg}\nusage: incr [UNITS] [REPS]   (positive integers; defaults 16 and 5)");
+    eprintln!(
+        "{msg}\nusage: incr [UNITS] [REPS] [LABEL]   (positive integers, defaults 16 and 5; \
+         LABEL names the INCR_JSON record, default `run`)"
+    );
     std::process::exit(2);
 }
 
@@ -119,8 +125,8 @@ fn run_once(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() > 2 {
-        usage_exit(&format!("unexpected extra argument `{}`", args[2]));
+    if args.len() > 3 {
+        usage_exit(&format!("unexpected extra argument `{}`", args[3]));
     }
     let parse = |what: &str, v: Option<&String>, default: usize| -> usize {
         match v {
@@ -136,6 +142,7 @@ fn main() {
         usage_exit("UNITS must be at least 2 (the signature edit needs a dependent)");
     }
     let reps = parse("REPS", args.get(1), 5);
+    let label = args.get(2).map_or("run", String::as_str);
     let cfg = LinkedConfig {
         units,
         ..LinkedConfig::incr_bench()
@@ -192,13 +199,49 @@ fn main() {
     );
 
     if let Ok(path) = std::env::var("INCR_JSON") {
-        let json = format!(
-            "{{\n  \"note\": \"CompileSession medians over the linked corpus (fused pipeline, jobs=1): cold = full compile from empty caches; warm body edit recompiles exactly 1 unit; warm signature edit recompiles the edited unit plus its transitive dependents\",\n  \"units\": {units},\n  \"corpus_loc\": {loc},\n  \"reps\": {reps},\n  \"cold_ms\": {:.3},\n  \"warm_body_edit_ms\": {:.3},\n  \"warm_signature_edit_ms\": {:.3},\n  \"signature_cascade_units\": {cascade}\n}}\n",
+        let run = format!(
+            "{{\"label\": \"{}\", \"date\": \"{}\", \"host\": {}, \"command\": \"{}\", \
+             \"units\": {units}, \"corpus_loc\": {loc}, \"reps\": {reps}, \"cold_ms\": {:.3}, \
+             \"warm_body_edit_ms\": {:.3}, \"warm_signature_edit_ms\": {:.3}, \
+             \"signature_cascade_units\": {cascade}}}",
+            bench::json_escape(label),
+            bench::utc_date(),
+            bench::host_json(),
+            bench::json_escape(&bench::command_line()),
             ms(cold),
             ms(body),
             ms(sig)
         );
-        std::fs::write(&path, json).expect("write INCR_JSON");
-        println!("recorded {path}");
+        let previous = std::fs::read_to_string(&path).unwrap_or_default();
+        std::fs::write(&path, record_run(&previous, label, &run)).expect("write INCR_JSON");
+        println!("recorded run `{label}` in {path}");
     }
+}
+
+const RECORD_HEAD: &str =
+    "{\n  \"benchmark\": \"incremental\",\n  \"note\": \"CompileSession medians over \
+    the linked corpus (fused pipeline, jobs=1): cold = full compile from empty caches; warm body \
+    edit recompiles exactly 1 unit; warm signature edit recompiles the edited unit plus its \
+    transitive dependents\",\n  \"runs\": [\n";
+const RECORD_TAIL: &str = "  ]\n}\n";
+
+/// The record file with `run` (one JSON object, labelled `label`) added to
+/// the runs already in `previous`, replacing an earlier run of the same
+/// label. Each run sits on a line of its own; content this binary did not
+/// write is discarded.
+fn record_run(previous: &str, label: &str, run: &str) -> String {
+    let same_label = format!("{{\"label\": \"{}\",", bench::json_escape(label));
+    let mut runs: Vec<&str> = previous
+        .strip_prefix(RECORD_HEAD)
+        .and_then(|rest| rest.strip_suffix(RECORD_TAIL))
+        .map(|body| {
+            body.lines()
+                .map(|l| l.trim().trim_end_matches(','))
+                .filter(|l| !l.is_empty() && !l.starts_with(&same_label))
+                .collect()
+        })
+        .unwrap_or_default();
+    runs.push(run);
+    let body: Vec<String> = runs.iter().map(|r| format!("    {r}")).collect();
+    format!("{RECORD_HEAD}{}\n{RECORD_TAIL}", body.join(",\n"))
 }

@@ -96,3 +96,79 @@ pub fn ratio(new: f64, base: f64) -> f64 {
         new / base
     }
 }
+
+/// The host a measurement ran on, as a JSON object: logical CPUs available
+/// to the process and the CPU model (the first `model name` line of
+/// `/proc/cpuinfo`, or `"unknown"` where there is none).
+pub fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".to_owned());
+    format!("{{\"nproc\": {nproc}, \"cpu\": \"{}\"}}", json_escape(&cpu))
+}
+
+/// Today's date in UTC as `YYYY-MM-DD`.
+pub fn utc_date() -> String {
+    let secs = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    // Civil-from-days (Howard Hinnant's algorithm), days since 1970-01-01.
+    let z = (secs / 86_400) as i64 + 719_468;
+    let era = z.div_euclid(146_097);
+    let doe = z.rem_euclid(146_097);
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = yoe + era * 400 + i64::from(month <= 2);
+    format!("{year:04}-{month:02}-{day:02}")
+}
+
+/// The command line of this process, program name without its directory.
+pub fn command_line() -> String {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let program = std::path::Path::new(&program)
+        .file_name()
+        .map_or(program.clone(), |f| f.to_string_lossy().into_owned());
+    std::iter::once(program)
+        .chain(args)
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// `s` with JSON string escapes applied (quotes, backslashes, controls).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn host_stamp_is_well_formed() {
+        let date = utc_date();
+        assert_eq!(date.len(), 10, "{date}");
+        assert!(date.as_bytes()[4] == b'-' && date.as_bytes()[7] == b'-');
+        assert!(host_json().starts_with("{\"nproc\": "));
+        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+    }
+}

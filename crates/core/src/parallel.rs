@@ -707,7 +707,7 @@ where
         ctx.stats.bytes += o.alloc.bytes;
         ctx.errors.extend(o.errors);
         if let Some(delta) = o.delta {
-            ctx.symbols.adopt(delta);
+            ctx.symbols.adopt(&delta);
         }
         if let Some(data) = o.data {
             worker_data.push(data);

@@ -289,7 +289,10 @@ impl StageTimes {
 pub struct Compiled {
     /// The executable program.
     pub program: Program,
-    /// The compilation context (symbol table, allocation stats).
+    /// The compilation context (symbol table, allocation stats). From a
+    /// [`CompileSession`] the table is a copy-on-write view that aliases
+    /// the session's frontend symbols and cached deltas (see the session's
+    /// module docs, invariant 4).
     pub ctx: Ctx,
     /// Stage timings.
     pub times: StageTimes,

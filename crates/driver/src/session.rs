@@ -45,17 +45,30 @@
 //!    (transitive) dependents, discovered by the typer's recorded dep set.
 //!
 //! 4. **Delta splicing instead of table mutation.** `compile()` assembles
-//!    the program table by cloning the pristine frontend table (cheap —
-//!    `Arc`-shared) and adopting every live unit's cached delta in unit
-//!    order, then reading it at the pipeline's final period. A unit's
-//!    delta mutates only the symbols the unit owns (plus the builtin
-//!    region and the root package's append-only decls; debug builds assert
-//!    this at cache time): the info transformers — `ElimRepeated`,
-//!    `ElimByName`, `Erasure` — never rewrite the table, their view of
-//!    every symbol is derived on read
+//!    the program table as a copy-on-write view of the pristine frontend
+//!    table ([`mini_ir::SymbolTable::splice_view`]) and adopts every live
+//!    unit's cached delta **by reference**, in unit order, then reads it at
+//!    the pipeline's final period. The view aliases the frontend's base
+//!    arena: a delta's writes to pre-existing symbols land in the view's
+//!    private overlay, and the delta's shards are shared with the cached
+//!    artifact (and the shared store) rather than copied. So a splice costs
+//!    O(live units + changed symbols), not O(symbol table), and the info
+//!    memos codegen fills on base and shard symbols survive into the next
+//!    compile. A unit's delta mutates only the symbols the unit owns (plus
+//!    the builtin region and the root package's append-only decls; debug
+//!    builds assert this at cache time): the info transformers —
+//!    `ElimRepeated`, `ElimByName`, `Erasure` — never rewrite the table,
+//!    their view of every symbol is derived on read
 //!    ([`mini_ir::SymbolTable::info_at`]). A mutation of *another* unit's
 //!    symbol would go stale — and poison the rebuild — the moment its
 //!    owner is re-typed.
+//!
+//!    [`Compiled::ctx`] is that view, so it aliases the session's frontend
+//!    base. A caller that keeps a `Compiled` alive across an edit makes
+//!    the frontend's next write copy the base arena once (`Arc::make_mut`)
+//!    — no more than the whole-table copy a clone-based splice pays on
+//!    every compile — and the kept program stays valid and unchanged
+//!    (`tests/splice_aliasing.rs` pins both this and the no-copy splice).
 //!
 //! Determinism: a session compile after any edit series is byte-identical
 //! — printed trees, VM output, checker findings, merged `ExecStats` — to a
@@ -761,7 +774,7 @@ impl CompileSession {
         let mut exec = ExecStats::default();
         let mut failure_groups: Vec<Vec<CheckFailure>> = vec![Vec::new(); groups];
         let mut findings: Vec<Finding> = Vec::new();
-        let mut table = self.front.symbols.clone();
+        let mut table = self.front.symbols.splice_view();
         let mut trees: Vec<TreeRef> = Vec::with_capacity(self.units.len());
         let mut out_units: Vec<CompilationUnit> = Vec::with_capacity(self.units.len());
         for (name, state) in &self.units {
@@ -781,7 +794,7 @@ impl CompileSession {
             for fs in &a.findings_by_group {
                 findings.extend(fs.iter().cloned());
             }
-            table.adopt(a.delta.clone());
+            table.adopt(&a.delta);
             trees.push(a.tree.clone());
             out_units.push(CompilationUnit::new(name.clone(), a.tree.clone()));
         }

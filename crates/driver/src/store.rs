@@ -34,8 +34,9 @@
 //! serialized and the `unsafe impl Send` below is sound (the same
 //! read-only/ownership-transfer argument as `miniphase`'s `UnitLoan` /
 //! `UnitsHandoff`, with lock acquisition standing in for the scope join).
-//! Deltas, stats and findings are plain owned data (no `Rc`) and cross
-//! threads normally.
+//! Deltas, stats and findings hold no `Rc` and cross threads normally; a
+//! delta's parts are `Arc`-shared, so a published or retrieved delta
+//! aliases the publishing session's cached copy instead of copying it.
 //!
 //! # Quarantine protocol
 //!

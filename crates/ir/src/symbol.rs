@@ -103,6 +103,22 @@ pub struct SymbolData {
     memo: InfoMemo,
 }
 
+/// Two symbols are equal when their data is; the memo is a cache.
+impl PartialEq for SymbolData {
+    fn eq(&self, other: &SymbolData) -> bool {
+        self.name == other.name
+            && self.flags == other.flags
+            && self.owner == other.owner
+            && self.kind == other.kind
+            && self.period == other.period
+            && self.span == other.span
+            && self.info == other.info
+            && self.parents == other.parents
+            && self.tparams == other.tparams
+            && self.decls == other.decls
+    }
+}
+
 impl SymbolData {
     #[allow(clippy::too_many_arguments)]
     fn new(
@@ -304,9 +320,20 @@ impl Shard {
 /// `id`, or `None`. The one definition of shard resolution shared by every
 /// read, write, and fork-snapshot path — a boundary fix here fixes all of
 /// them at once.
-fn find_shard(shards: &[Shard], id: u32) -> Option<usize> {
+fn find_shard(shards: &[Arc<Shard>], id: u32) -> Option<usize> {
     let at = shards.partition_point(|s| s.start + s.syms.len() as u32 <= id);
     shards.get(at).filter(|s| s.contains(id)).map(|_| at)
+}
+
+/// Marks base-arena id `i` (if it is one) in an overlay's `overlaid_base`
+/// bitset over a base arena of `base_len` symbols.
+fn mark_overlaid(bits: &mut Vec<u64>, base_len: usize, i: usize) {
+    if i < base_len {
+        if bits.is_empty() {
+            bits.resize(base_len.div_ceil(64), 0);
+        }
+        bits[i / 64] |= 1 << (i % 64);
+    }
 }
 
 /// Where a worker fork carves **overflow shards** once its primary shard
@@ -331,11 +358,15 @@ pub struct ShardGrowth {
 /// adopted verbatim; a primary shard plus any chained overflow shards) and
 /// the base symbols it mutated (fork-time snapshot + final value, merged
 /// field-wise with append-aware `decls` handling).
+///
+/// A delta is immutable once built and its parts are `Arc`-shared: a clone
+/// copies no symbol, and [`SymbolTable::adopt`] takes a reference and
+/// aliases the delta's shards instead of copying them.
 #[derive(Clone)]
 pub struct SymbolDelta {
-    shards: Vec<Shard>,
+    shards: Vec<Arc<Shard>>,
     /// `(id, fork-time snapshot, final value)`, ascending by id.
-    dirty: Vec<(SymbolId, SymbolData, SymbolData)>,
+    dirty: Arc<[(SymbolId, SymbolData, Arc<SymbolData>)]>,
 }
 
 impl SymbolDelta {
@@ -370,13 +401,13 @@ impl SymbolDelta {
         self.dirty
             .binary_search_by_key(&id, |(d, _, _)| *d)
             .ok()
-            .map(|at| &self.dirty[at].2)
+            .map(|at| &*self.dirty[at].2)
     }
 
     /// The dirty entries — mutated pre-fork symbols — as `(id, final
     /// value)` pairs, ascending by id.
     pub fn dirty_entries(&self) -> impl Iterator<Item = (SymbolId, &SymbolData)> {
-        self.dirty.iter().map(|(id, _, fin)| (*id, fin))
+        self.dirty.iter().map(|(id, _, fin)| (*id, &**fin))
     }
 }
 
@@ -394,9 +425,17 @@ impl SymbolDelta {
 ///
 /// Cloning is cheap (`Arc`-shared base arena and adopted shards) until the
 /// clone — or the original — first mutates, at which point `Arc::make_mut`
-/// copies the touched region. The incremental compile session leans on
-/// this: every `compile()` clones the pristine frontend table and splices
-/// cached per-unit deltas into the clone.
+/// copies the touched region: the whole base arena for a base symbol, one
+/// shard for an adopted-shard symbol.
+///
+/// The incremental compile session does not clone-then-mutate. It builds
+/// each program table as a [`SymbolTable::splice_view`] of its frontend
+/// table and adopts every cached per-unit delta by reference: the view's
+/// writes to pre-existing symbols go to a private overlay, and adopted
+/// shards alias the cached delta's. No base symbol and no cached shard is
+/// copied, so the info memos filled through the view stay on the shared
+/// symbols for the next compile. While a view is alive, the frontend's
+/// first write copies the base arena once (`Arc::make_mut`).
 #[derive(Clone)]
 pub struct SymbolTable {
     /// The base arena. `Arc`-shared so [`SymbolTable::fork_for_worker`] is
@@ -409,22 +448,27 @@ pub struct SymbolTable {
     /// primary shard plus any chained overflow shards, ascending by
     /// `start`. Empty on ordinary tables, which extend `syms` contiguously.
     shards: Vec<Shard>,
-    /// Worker tables only: where overflow shards carve fresh id ranges once
-    /// the primary shard fills.
+    /// Worker tables only (its presence is what marks a worker fork):
+    /// where overflow shards carve fresh id ranges once the primary shard
+    /// fills.
     growth: Option<ShardGrowth>,
-    /// Shards merged in from finished workers, sorted by `start`. Resolved
-    /// read-only; a table with adopted shards keeps allocating in the gap
-    /// between `syms.len()` and the first shard. `Arc`-shared with forks
-    /// for the same O(1)-fork reason as `syms`.
-    adopted: Arc<Vec<Shard>>,
-    /// Worker tables only: copy-on-write overlay holding this fork's
-    /// mutations of pre-fork symbols (base arena **or** previously adopted
-    /// shards), keyed by id. The shared base is never written; the
+    /// Shards merged in from finished workers, sorted by `start`. A table
+    /// with adopted shards keeps allocating in the gap between
+    /// `syms.len()` and the first shard. The list is `Arc`-shared with
+    /// forks for the same O(1)-fork reason as `syms`, and each shard is
+    /// `Arc`-shared with the [`SymbolDelta`] it came from: writing into a
+    /// still-shared shard copies that shard only.
+    adopted: Arc<Vec<Arc<Shard>>>,
+    /// Worker forks and splice views only: copy-on-write overlay holding
+    /// this table's mutations of pre-existing symbols (base arena **or**
+    /// adopted shards), keyed by id. The shared base is never written; the
     /// fork-time snapshot a [`SymbolDelta`] needs *is* the frozen base
-    /// value. `None` on ordinary tables.
-    overlay: Option<BTreeMap<u32, SymbolData>>,
-    /// Worker tables only: bitset over base-arena ids marking those the
-    /// overlay shadows, so reads of untouched base symbols skip the map.
+    /// value. `None` on ordinary tables. Entries are `Arc`s so that a view
+    /// can alias a delta's final value of a symbol instead of copying it.
+    overlay: Option<BTreeMap<u32, Arc<SymbolData>>>,
+    /// Worker forks and splice views only: bitset over base-arena ids
+    /// marking those the overlay shadows, so reads of untouched base
+    /// symbols skip the map.
     overlaid_base: Vec<u64>,
     /// The info transformers [`SymbolTable::info_at`] applies.
     plan: Arc<InfoPlan>,
@@ -597,18 +641,57 @@ impl SymbolTable {
         let base = self.syms.len() as u32;
         self.adopted
             .iter()
+            .map(|s| &**s)
             .chain(self.shards.iter())
             .map(|s| s.start + s.syms.len() as u32)
             .fold(base, u32::max)
     }
 
-    /// True if `self` and `other` alias the same frozen base arena and
-    /// adopted-shard list — i.e. no symbol data was copied between them.
-    /// This is the copy-on-write fork invariant the fork-cost regression
-    /// test pins: [`SymbolTable::fork_for_worker`] is O(1) in base-table
-    /// size precisely because this holds for every fresh fork.
+    /// True if `self` and `other` read the same base arena and the same
+    /// adopted shards from the same allocations — i.e. no symbol data was
+    /// copied between them. This is the copy-on-write invariant the
+    /// fork-cost and splice regression tests pin:
+    /// [`SymbolTable::fork_for_worker`] and [`SymbolTable::splice_view`]
+    /// are O(1) in base-table size precisely because this holds for every
+    /// fresh fork or view, and adopting a delta by reference keeps it
+    /// holding between two views that adopted the same deltas.
     pub fn base_shared_with(&self, other: &SymbolTable) -> bool {
-        Arc::ptr_eq(&self.syms, &other.syms) && Arc::ptr_eq(&self.adopted, &other.adopted)
+        Arc::ptr_eq(&self.syms, &other.syms)
+            && self.adopted.len() == other.adopted.len()
+            && self
+                .adopted
+                .iter()
+                .zip(other.adopted.iter())
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
+    /// A copy-on-write **splice view** of this table in O(1): it aliases
+    /// the base arena and adopted shards like a worker fork, receives
+    /// [`SymbolDelta`]s through [`SymbolTable::adopt`] — writes to
+    /// pre-existing symbols go to a private overlay, shards are adopted by
+    /// reference — and never writes the shared base. Reads of untouched
+    /// symbols fill the info memos of the shared symbols, so a later view
+    /// over the same base and deltas finds them filled.
+    ///
+    /// A view assembles a program from finished deltas; it cannot allocate
+    /// symbols, be forked, or be turned into a delta.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called on a worker fork or another view.
+    pub fn splice_view(&self) -> SymbolTable {
+        assert!(self.overlay.is_none(), "cannot view a fork or a view");
+        SymbolTable {
+            syms: Arc::clone(&self.syms),
+            builtins: self.builtins,
+            shards: Vec::new(),
+            growth: None,
+            adopted: Arc::clone(&self.adopted),
+            overlay: Some(BTreeMap::new()),
+            overlaid_base: Vec::new(),
+            plan: Arc::clone(&self.plan),
+            period: self.period,
+        }
     }
 
     /// Forks a worker-private table for parallel compilation in **O(1)**:
@@ -631,9 +714,9 @@ impl SymbolTable {
     /// Panics if `start` is below [`SymbolTable::id_ceiling`] (the shard
     /// would shadow resolvable ids), if the overflow region overlaps the
     /// primary shard, if a capacity is zero, or if called on a table that
-    /// is itself a worker fork.
+    /// is itself a worker fork or a splice view.
     pub fn fork_for_worker(&self, start: u32, capacity: u32, growth: ShardGrowth) -> SymbolTable {
-        assert!(self.overlay.is_none(), "cannot fork a worker fork");
+        assert!(self.overlay.is_none(), "cannot fork a fork or a view");
         assert!(start >= self.id_ceiling(), "worker shard shadows live ids");
         assert!(
             capacity > 0 && growth.capacity > 0 && growth.step >= growth.capacity,
@@ -685,12 +768,14 @@ impl SymbolTable {
     ///
     /// # Panics
     ///
-    /// Panics if the table is not a worker fork.
+    /// Panics if the table is not a worker fork (a splice view included).
     pub fn into_delta(mut self) -> SymbolDelta {
-        let overlay = self.overlay.take().expect("into_delta on a non-fork table");
+        assert!(self.growth.is_some(), "into_delta on a non-fork table");
+        let overlay = self.overlay.take().expect("worker forks have an overlay");
         let shards = std::mem::take(&mut self.shards)
             .into_iter()
             .filter(|s| !s.syms.is_empty())
+            .map(Arc::new)
             .collect();
         let dirty = overlay
             .into_iter()
@@ -706,15 +791,18 @@ impl SymbolTable {
     /// fork, in unit order (forks own contiguous unit chunks, so chunk
     /// order *is* unit order); the merge is then deterministic:
     ///
-    /// * the shards of worker-created symbols are adopted verbatim — their
-    ///   ids were globally unique from birth, so trees referencing them
-    ///   resolve with no rewriting;
+    /// * the shards of worker-created symbols are adopted by reference —
+    ///   their ids were globally unique from birth, so trees referencing
+    ///   them resolve with no rewriting, and the table aliases the delta's
+    ///   shards until it writes into one;
     /// * mutated pre-fork symbols (base arena or previously adopted shards)
     ///   merge field-wise against the fork snapshot: only fields the worker
     ///   actually changed overwrite, and a `decls` list that grew by
     ///   appends re-appends just the new ids (preserving appends merged
     ///   from earlier workers); a reordered/rewritten list replaces
-    ///   wholesale.
+    ///   wholesale. On a splice view, a symbol whose current value still
+    ///   equals the fork snapshot merges to exactly the final value, so the
+    ///   view aliases the delta's final value instead of merging a copy.
     ///
     /// Known, deliberate divergence: for owners shared across unit chunks
     /// (in practice only the root package), the merged `decls` order is
@@ -728,9 +816,18 @@ impl SymbolTable {
     /// names. Reconstructing the exact sequential interleaving would need
     /// per-(group, unit) deltas; do that before adding any consumer that
     /// reads shared-owner decls order.
-    pub fn adopt(&mut self, delta: SymbolDelta) {
-        for (id, fork, fin) in delta.dirty {
-            let cur = self.raw_mut(id);
+    pub fn adopt(&mut self, delta: &SymbolDelta) {
+        for (id, fork, fin) in delta.dirty.iter() {
+            if self
+                .overlay
+                .as_ref()
+                .is_some_and(|ov| !ov.contains_key(&id.0))
+                && self.pre_fork_sym(*id) == fork
+            {
+                self.shadow(*id, Arc::clone(fin));
+                continue;
+            }
+            let cur = self.raw_mut(*id);
             if fin.name != fork.name {
                 cur.name = fin.name;
             }
@@ -746,8 +843,8 @@ impl SymbolTable {
             // Info and parents are only meaningful together with the
             // period they were written at, so the three merge as one.
             if fin.period != fork.period || fin.info != fork.info || fin.parents != fork.parents {
-                cur.info = fin.info;
-                cur.parents = fin.parents;
+                cur.info = fin.info.clone();
+                cur.parents = fin.parents.clone();
                 cur.period = fin.period;
                 cur.memo = InfoMemo::default();
             }
@@ -755,26 +852,37 @@ impl SymbolTable {
                 cur.span = fin.span;
             }
             if fin.tparams != fork.tparams {
-                cur.tparams = fin.tparams;
+                cur.tparams = fin.tparams.clone();
             }
             if fin.decls.len() >= fork.decls.len()
                 && fin.decls[..fork.decls.len()] == fork.decls[..]
             {
                 cur.decls.extend_from_slice(&fin.decls[fork.decls.len()..]);
             } else if fin.decls != fork.decls {
-                cur.decls = fin.decls;
+                cur.decls = fin.decls.clone();
             }
         }
-        if delta.shards.iter().any(|s| !s.syms.is_empty()) {
+        if !delta.shards.is_empty() {
             let adopted = Arc::make_mut(&mut self.adopted);
-            adopted.extend(delta.shards.into_iter().filter(|s| !s.syms.is_empty()));
+            adopted.extend(delta.shards.iter().cloned());
             adopted.sort_by_key(|s| s.start);
         }
     }
 
+    /// Puts `data` in the overlay in place of pre-existing symbol `id`.
+    fn shadow(&mut self, id: SymbolId, data: Arc<SymbolData>) {
+        let ov = self.overlay.as_mut().expect("only forks and views shadow");
+        mark_overlaid(&mut self.overlaid_base, self.syms.len(), id.0 as usize);
+        ov.insert(id.0, data);
+    }
+
     fn alloc(&mut self, data: SymbolData) -> SymbolId {
         let owner = data.owner;
-        let id = if self.overlay.is_some() {
+        assert!(
+            self.overlay.is_none() || self.growth.is_some(),
+            "a splice view cannot allocate symbols"
+        );
+        let id = if let Some(g) = self.growth.as_mut() {
             // Worker fork: allocate in the current own shard, chaining a
             // fresh overflow shard from the growth plan when it fills —
             // a symbol-heavy chunk grows instead of aborting the compile.
@@ -783,7 +891,6 @@ impl SymbolTable {
                 .last()
                 .is_none_or(|s| s.syms.len() as u32 >= s.capacity)
             {
-                let g = self.growth.as_mut().expect("worker fork has a growth plan");
                 let start = g.next_start;
                 g.next_start = start.checked_add(g.step).expect(
                     "symbol id space exhausted: overflow shard chain wrapped the u32 id domain",
@@ -908,9 +1015,9 @@ impl SymbolTable {
         ))
     }
 
-    /// Read access to a symbol's data. On a worker fork, mutated pre-fork
-    /// symbols resolve from the copy-on-write overlay; everything else
-    /// reads the shared frozen base.
+    /// Read access to a symbol's data. On a worker fork or splice view,
+    /// mutated pre-existing symbols resolve from the copy-on-write overlay;
+    /// everything else reads the shared frozen base.
     ///
     /// # Panics
     ///
@@ -931,13 +1038,13 @@ impl SymbolTable {
         }
     }
 
-    /// A fork's overlay entry for `id`, if it has one. Base-arena ids are
+    /// A fork's or view's overlay entry for `id`, if it has one. Base-arena ids are
     /// tested against the `overlaid_base` bitset first, so reads of
     /// untouched base symbols skip the map.
     #[inline]
     fn overlay_sym<'a>(
         &self,
-        ov: &'a BTreeMap<u32, SymbolData>,
+        ov: &'a BTreeMap<u32, Arc<SymbolData>>,
         id: SymbolId,
     ) -> Option<&'a SymbolData> {
         let i = id.0 as usize;
@@ -947,7 +1054,7 @@ impl SymbolTable {
                 return None;
             }
         }
-        ov.get(&id.0)
+        ov.get(&id.0).map(|d| &**d)
     }
 
     /// Out-of-base lookup: the table's own shards, then adopted shards.
@@ -972,9 +1079,9 @@ impl SymbolTable {
     /// at the current period and later transformers still apply on top of
     /// it. The symbol's memo is cleared.
     ///
-    /// On a worker fork, the first mutation of any pre-fork symbol — base
-    /// arena **or** a shard adopted from an earlier parallel run — copies
-    /// it into the fork's private overlay and mutates the copy; the shared
+    /// On a worker fork or splice view, the first mutation of any pre-fork
+    /// symbol — base arena **or** an adopted shard — copies it into the
+    /// table's private overlay and mutates the copy; the shared
     /// frozen base is never written, which is what makes the O(1) fork
     /// sound and gives [`SymbolTable::into_delta`] its fork-time snapshots
     /// for free. Only the fork's own shards mutate in place (they ship back
@@ -1051,10 +1158,11 @@ impl SymbolTable {
     ///   period up to `period` applied; at or below the write period it is
     ///   the stored value itself.
     /// * Results are memoized on the symbol, one slot per transformer, in
-    ///   whichever table stores the symbol. A fork reading a pre-fork
-    ///   symbol fills the memo in the shared frozen base, so sibling forks
-    ///   and later compiles over the same base reuse it; reads never copy
-    ///   a symbol into a fork's overlay.
+    ///   whichever table stores the symbol. A fork or splice view reading a
+    ///   pre-existing symbol fills the memo in the shared frozen base (or
+    ///   the shared shard, or the delta value a view aliases), so sibling
+    ///   forks and later compiles over the same base reuse it; reads never
+    ///   copy a symbol into an overlay.
     /// * [`SymbolTable::sym_mut`] clears the symbol's memo; clones of a
     ///   symbol start with an empty one; slots computed under a different
     ///   plan are ignored (the value is then recomputed on every read).
@@ -1164,20 +1272,19 @@ impl SymbolTable {
             return &mut sh.syms[(id.0 - sh.start) as usize];
         }
         if let Some(ov) = overlay {
-            // Worker fork touching a pre-fork symbol: copy-on-write.
-            return ov.entry(id.0).or_insert_with(|| {
+            // Worker fork or splice view touching a pre-existing symbol:
+            // copy-on-write into the overlay.
+            // An entry a view aliases from a delta is copied on first write.
+            let entry = ov.entry(id.0).or_insert_with(|| {
                 let i = id.0 as usize;
+                mark_overlaid(overlaid_base, syms.len(), i);
                 if i < syms.len() {
-                    if overlaid_base.is_empty() {
-                        overlaid_base.resize(syms.len().div_ceil(64), 0);
-                    }
-                    overlaid_base[i / 64] |= 1 << (i % 64);
-                    syms[i].clone()
+                    Arc::new(syms[i].clone())
                 } else {
                     match find_shard(adopted, id.0) {
                         Some(at) => {
                             let sh = &adopted[at];
-                            sh.syms[(id.0 - sh.start) as usize].clone()
+                            Arc::new(sh.syms[(id.0 - sh.start) as usize].clone())
                         }
                         None => {
                             panic!("dangling {id:?} (not in base, own shard, or any adopted shard)")
@@ -1185,17 +1292,20 @@ impl SymbolTable {
                     }
                 }
             });
+            return Arc::make_mut(entry);
         }
         // Ordinary table: mutate the base arena or an adopted shard via
-        // copy-on-write `Arc`s (free while no fork aliases them).
+        // copy-on-write `Arc`s (free while no fork or view aliases them).
         let i = id.0 as usize;
         if i < syms.len() {
             return &mut Arc::make_mut(syms)[i];
         }
+        // An adopted shard may still be shared with the delta it came from
+        // (or a view); only that shard is copied.
         let adopted = Arc::make_mut(adopted);
         match find_shard(adopted, id.0) {
             Some(at) => {
-                let sh = &mut adopted[at];
+                let sh = Arc::make_mut(&mut adopted[at]);
                 &mut sh.syms[(id.0 - sh.start) as usize]
             }
             None => panic!("dangling {id:?} (not in base, own shard, or any adopted shard)"),
@@ -1802,7 +1912,7 @@ mod tests {
         );
         assert_eq!(c.index(), base_len + 100, "shard ids start at the carve");
         fork.sym_mut(pkg).flags |= Flags::SYNTHETIC;
-        tab.adopt(fork.into_delta());
+        tab.adopt(&fork.into_delta());
         assert_eq!(tab.sym(c).name, Name::from("W1"), "shard adopted verbatim");
         assert!(
             tab.sym(pkg).flags.is(Flags::SYNTHETIC),
@@ -1817,7 +1927,7 @@ mod tests {
         let start2 = tab.id_ceiling() + 100;
         let mut fork2 = tab.fork_for_worker(start2, 50, roomy_growth(start2, 50));
         fork2.sym_mut(c).flags |= Flags::LIFTED;
-        tab.adopt(fork2.into_delta());
+        tab.adopt(&fork2.into_delta());
         assert!(
             tab.sym(c).flags.is(Flags::LIFTED),
             "adopted-shard mutation survives the merge"
@@ -1860,8 +1970,130 @@ mod tests {
         assert!(fork.sym(probe).flags.is(Flags::SYNTHETIC));
 
         // The origin resumes cheap in-place mutation after the fork dies.
-        tab.adopt(fork.into_delta());
+        tab.adopt(&fork.into_delta());
         assert!(tab.sym(probe).flags.is(Flags::SYNTHETIC), "merge lands");
+    }
+
+    /// Calls of [`counting_transform`]: how often an info was derived
+    /// rather than read from a memo. Only the splice-view memo test uses it.
+    static DERIVATIONS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    /// Rewrites `Int` infos to `Boolean`, counting every call.
+    fn counting_transform(
+        _sym: &SymbolData,
+        info: &Type,
+        parents: &[Type],
+        _symbols: &SymbolTable,
+    ) -> Option<(Type, Vec<Type>)> {
+        DERIVATIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        (*info == Type::Int).then(|| (Type::Boolean, parents.to_vec()))
+    }
+
+    #[test]
+    fn splice_views_keep_info_memos_and_writes_still_clear_them() {
+        let derivations = || DERIVATIONS.load(std::sync::atomic::Ordering::Relaxed);
+        let mut tab = SymbolTable::new();
+        let pkg = tab.builtins().root_pkg;
+        let base: Vec<SymbolId> = (0..40)
+            .map(|i| tab.new_term(pkg, Name::intern(&format!("b{i}")), Flags::EMPTY, Type::Int))
+            .collect();
+
+        // A delta that writes one base symbol, appends to the root package
+        // and creates shard symbols — the shape of a unit's cached delta.
+        let start = tab.id_ceiling() + 10;
+        let mut fork = tab.fork_for_worker(start, 100, roomy_growth(start + 100, 100));
+        let written = base[0];
+        fork.sym_mut(written).flags |= Flags::SYNTHETIC;
+        let fresh: Vec<SymbolId> = (0..20)
+            .map(|i| fork.new_term(pkg, Name::intern(&format!("f{i}")), Flags::EMPTY, Type::Int))
+            .collect();
+        let delta = fork.into_delta();
+
+        let plan = Arc::new(InfoPlan::new(vec![(
+            "count",
+            counting_transform as InfoTransform,
+        )]));
+        let splice = |tab: &SymbolTable| {
+            let mut view = tab.splice_view();
+            view.adopt(&delta);
+            view.set_info_plan(Arc::clone(&plan));
+            view.set_period(1);
+            view
+        };
+        // Untouched base symbols, the written one (the view aliases the
+        // delta's final value) and the delta's shard symbols.
+        let read: Vec<SymbolId> = base.iter().chain(&fresh).copied().collect();
+
+        let first = splice(&tab);
+        assert!(
+            first.sym(written).flags.is(Flags::SYNTHETIC),
+            "delta write visible"
+        );
+        assert!(
+            !tab.sym(written).flags.is(Flags::SYNTHETIC),
+            "base never written"
+        );
+        let before = derivations();
+        for &id in &read {
+            assert_eq!(*first.info(id), Type::Boolean);
+        }
+        assert_eq!(
+            derivations() - before,
+            read.len(),
+            "cold view derives each info once"
+        );
+
+        let second = splice(&tab);
+        assert!(
+            second.base_shared_with(&first),
+            "views alias one base arena and the delta's shards"
+        );
+        let before = derivations();
+        for &id in &read {
+            assert_eq!(*second.info(id), Type::Boolean);
+        }
+        assert_eq!(derivations(), before, "second view re-derives nothing");
+        drop((first, second));
+
+        // With the views gone the base is unshared again: a write happens
+        // in place and still clears the written symbol's memo. A base write
+        // to the symbol the delta also wrote makes the next view merge a
+        // copy (delta's flags, base's new info) instead of aliasing.
+        let probe = base[1];
+        tab.sym_mut(probe).set_info(Type::Str);
+        tab.sym_mut(written).set_info(Type::Str);
+        let third = splice(&tab);
+        let before = derivations();
+        assert_eq!(*third.info(probe), Type::Str, "no stale memo after a write");
+        assert_eq!(
+            *third.info(written),
+            Type::Str,
+            "merged, not the stale final value"
+        );
+        assert!(third.sym(written).flags.is(Flags::SYNTHETIC));
+        assert_eq!(*third.info(base[2]), Type::Boolean);
+        assert_eq!(*third.info(fresh[0]), Type::Boolean);
+        assert_eq!(
+            derivations() - before,
+            2,
+            "only the rewritten symbols re-derive"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a splice view cannot allocate symbols")]
+    fn splice_view_rejects_allocation() {
+        let tab = SymbolTable::new();
+        let pkg = tab.builtins().root_pkg;
+        let mut view = tab.splice_view();
+        view.new_term(pkg, Name::from("x"), Flags::EMPTY, Type::Int);
+    }
+
+    #[test]
+    #[should_panic(expected = "into_delta on a non-fork table")]
+    fn splice_view_rejects_into_delta() {
+        let tab = SymbolTable::new();
+        let _ = tab.splice_view().into_delta();
     }
 
     #[test]
@@ -1905,7 +2137,7 @@ mod tests {
 
         // The merge adopts every chained shard; the origin resolves all of
         // them and `ids()` stays strictly ascending.
-        tab.adopt(fork.into_delta());
+        tab.adopt(&fork.into_delta());
         for (i, id) in made.iter().enumerate() {
             assert_eq!(tab.sym(*id).name, Name::intern(&format!("ov{i}")));
         }
