@@ -8,11 +8,14 @@
 //! ## Method slots and link-time dispatch tables
 //!
 //! Virtual and direct calls do not carry method *names*; they carry dense
-//! **slot ids** interned into [`Program::method_names`] at codegen time.
-//! After all code is emitted, [`Program::link`] builds per-class dense
-//! dispatch tables ([`VmClass::vtable_slots`], indexed by slot) and dense
-//! field-resolution tables ([`VmClass::field_slots`], indexed by global
-//! field id) next to the original `HashMap`s. The VM's fast mode indexes
+//! **slot ids** into [`Program::method_names`]. Slots are interned at link
+//! time: [`crate::codegen::compile_unit`] numbers each unit's selectors in
+//! a unit-local table, and [`crate::codegen::link`] interns all units'
+//! selectors (in whole-program first-use order) and rewrites every call
+//! site to the program-wide slot. Then [`Program::link`] builds per-class
+//! dense dispatch tables ([`VmClass::vtable_slots`], indexed by slot) and
+//! dense field-resolution tables ([`VmClass::field_slots`], indexed by
+//! global field id) next to the original `HashMap`s. The VM's fast mode indexes
 //! the dense tables; its reference mode resolves the slot back to a `Name`
 //! and pays the original per-call `HashMap` probe, which keeps the old
 //! dispatch cost honestly measurable in the `exec` A/B bench.
@@ -27,7 +30,7 @@ pub type ClassId = u32;
 pub type FnId = u32;
 
 /// Index into [`Program::method_names`]: a method selector interned at
-/// codegen time so call sites and dispatch tables agree on a dense id.
+/// link time so call sites and dispatch tables agree on a dense id.
 pub type MethodSlot = u32;
 
 /// Sentinel in [`VmClass::field_slots`] for "this class has no layout slot
@@ -303,6 +306,37 @@ impl Program {
         }
         self.method_names.push(name);
         (self.method_names.len() - 1) as MethodSlot
+    }
+
+    /// A canonical text rendering of everything the VM reads: per function
+    /// its name, parameter/local counts, code and handlers; per class its
+    /// name, linearization, field count and the dense vtable and field
+    /// tables (built by [`Program::link`]); the entry point and the
+    /// selector table. Two programs with equal dumps run identically. No
+    /// `HashMap` iteration order leaks into it.
+    pub fn canonical_dump(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let names: Vec<&str> = self.method_names.iter().map(|n| n.as_str()).collect();
+        let _ = writeln!(out, "entry {:?}\nmethods {names:?}", self.entry);
+        for (i, c) in self.classes.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "class {i} {} lin={:?} n_fields={} vtable={:?} fields={:?}",
+                c.name, c.linearization, c.n_fields, c.vtable_slots, c.field_slots
+            );
+        }
+        for (i, f) in self.functions.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "fn {i} {} params={} locals={} handlers={:?}",
+                f.name, f.n_params, f.n_locals, f.handlers
+            );
+            for insn in &f.code {
+                let _ = writeln!(out, "  {insn:?}");
+            }
+        }
+        out
     }
 
     /// The selector name behind a slot.

@@ -2,13 +2,49 @@
 //!
 //! Consumes fully lowered trees — after the whole Miniphase pipeline has run
 //! there are no `Match`/`Lambda`/`TypeApply` nodes and all types are erased —
-//! and produces a [`Program`] for the VM.
+//! and produces a [`Program`] for the VM in two stages, the way `GenBCode`
+//! emits each unit's classes separately and leaves linking to the JVM:
+//!
+//! 1. [`compile_unit`] turns one unit tree into a relocatable [`UnitCode`]:
+//!    the unit's functions with their names rendered and their code
+//!    emitted, plus one summary per class (name, linearization symbols, own
+//!    field symbols, own `(name, method)` vtable entries). Every operand
+//!    that names something outside the function — a callee, a class, a
+//!    field, a method selector — indexes one of the unit's **import
+//!    tables** (symbols and selector names), never a program-wide id.
+//! 2. [`link`] numbers the classes, functions, fields and method slots of
+//!    all units, builds layouts and vtables from the summaries (it never
+//!    walks the symbol table for them), rewrites every import operand to
+//!    its program-wide id and calls [`Program::link`]. Everything that
+//!    depends on the whole program is decided here: whether a selected
+//!    symbol is a field (or a "naked method selection" error), whether a
+//!    type test names a generated class (or falls back to `Any`), whether
+//!    a callee or an allocated class exists, and which top-level `main` is
+//!    the entry point. [`generate`] is exactly `compile_unit` per tree
+//!    followed by `link`.
+//!
+//! Ids come out as a whole-program generator would assign them: classes
+//! in unit order after the builtin classes, every unit's top-level
+//! functions before every unit's methods, fields in layout order, and
+//! method selectors in first-use order over that function order.
+//!
+//! # What `compile_unit` may read
+//!
+//! The unit's own tree, and through the symbol table only: the names,
+//! owners, flags and `decls` of the unit's own symbols, the builtins, the
+//! linearizations of the unit's classes (which reach into dependencies
+//! only through class parents), and the owners of methods a `super` call
+//! names. Parents, members and owners of a dependency's symbols are part
+//! of its exported surface, so a [`UnitCode`] stays valid for as long as
+//! the unit's tree, its symbols and its dependencies' exported interfaces
+//! do — which is exactly when an incremental compile session may reuse
+//! the unit's cached tree, so the session caches the unit code beside it.
 
 use crate::bytecode::*;
 use mini_ir::{std_names, Ctx, Flags, Name, SymbolId, TreeKind, TreeRef, Type};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 
 /// A lowering-contract violation: the trees were not fully lowered, or
 /// reference something the backend cannot express.
@@ -30,262 +66,516 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CodegenError> {
     Err(CodegenError { msg: msg.into() })
 }
 
-/// Generates a runnable [`Program`] from lowered compilation-unit trees.
+/// Generates a runnable [`Program`] from lowered compilation-unit trees:
+/// [`compile_unit`] on each tree, then [`link`] (moving the fresh code
+/// into the program instead of copying it).
 ///
 /// # Errors
 ///
 /// Returns a [`CodegenError`] if the trees still contain constructs that the
 /// phases were supposed to eliminate (`Match`, `Lambda`, generic types, ...).
 pub fn generate(ctx: &Ctx, units: &[TreeRef]) -> Result<Program, CodegenError> {
-    let mut gen = Gen {
-        ctx,
-        program: Program::default(),
-        class_of: HashMap::new(),
-        field_slot: HashMap::new(),
-        fn_of: HashMap::new(),
-        class_defs: Vec::new(),
-        static_defs: Vec::new(),
-        methods: RefCell::new(MethodInterner::default()),
-    };
-    gen.collect(units)?;
-    gen.layout()?;
-    gen.declare_functions()?;
-    gen.compile_all()?;
-    gen.program.method_names = gen.methods.into_inner().names;
-    gen.program.link();
-    Ok(gen.program)
+    let mut code = units
+        .iter()
+        .map(|u| compile_unit(ctx, u))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut linker = Linker::new(ctx, &code.iter().collect::<Vec<_>>());
+    for (i, u) in code.iter_mut().enumerate() {
+        for f in u.statics.drain(..) {
+            linker.push(i, f.body)?;
+        }
+    }
+    for (i, u) in code.iter_mut().enumerate() {
+        for f in u.methods.drain(..) {
+            linker.push(i, f.body)?;
+        }
+    }
+    Ok(linker.finish())
 }
 
-/// Method-selector interner shared by all function compilers (interior
-/// mutability: `FnCompiler` holds the `Gen` immutably while emitting).
-#[derive(Default)]
-struct MethodInterner {
-    names: Vec<Name>,
-    index: HashMap<Name, MethodSlot>,
+/// One compilation unit's bytecode in relocatable form: the output of
+/// [`compile_unit`] and the input of [`link`] (see the module docs).
+///
+/// In its functions' code, the operands of `CallStatic`, `New`,
+/// `CallDirect`, `GetField`, `PutField`, `CallVirtual` and
+/// `TypeTest::Class` index the unit's import tables; only [`link`] turns
+/// them into program-wide ids.
+#[derive(Clone, Debug, Default)]
+pub struct UnitCode {
+    /// Top-level functions, in tree order.
+    statics: Vec<UnitFunction>,
+    /// Class methods (constructors included), class by class, in tree
+    /// order.
+    methods: Vec<UnitFunction>,
+    /// Index in `statics` of the unit's last top-level `main`.
+    main: Option<usize>,
+    /// One summary per class, in tree order.
+    classes: Vec<ClassSummary>,
+    /// Referenced classes, by symbol.
+    class_imports: Vec<SymbolId>,
+    /// Referenced top-level functions, by symbol.
+    function_imports: Vec<SymbolId>,
+    /// Referenced fields, by symbol and selected name (the name only
+    /// words the error when the symbol turns out not to be a field).
+    field_imports: Vec<(SymbolId, Name)>,
+    /// Referenced method selectors, in first-use order.
+    method_imports: Vec<Name>,
+    /// How many of `method_imports` a top-level function used first —
+    /// what lets [`link`] intern selectors in whole-program first-use
+    /// order.
+    static_methods: usize,
 }
 
-struct Gen<'a> {
-    ctx: &'a Ctx,
-    program: Program,
-    class_of: HashMap<SymbolId, ClassId>,
-    field_slot: HashMap<SymbolId, u16>,
-    fn_of: HashMap<SymbolId, FnId>,
-    /// (class sym, body trees).
-    class_defs: Vec<(SymbolId, Vec<TreeRef>)>,
-    static_defs: Vec<TreeRef>,
-    methods: RefCell<MethodInterner>,
+/// One function of a [`UnitCode`].
+#[derive(Clone, Debug)]
+struct UnitFunction {
+    /// The defining symbol ([`link`] maps it to the function's id).
+    sym: SymbolId,
+    /// The function, with import-table operands.
+    body: Function,
 }
 
-impl<'a> Gen<'a> {
-    /// Intern a method selector into the program's slot table.
-    fn method_slot(&self, name: Name) -> MethodSlot {
-        let mut m = self.methods.borrow_mut();
-        if let Some(&s) = m.index.get(&name) {
-            return s;
-        }
-        let s = m.names.len() as MethodSlot;
-        m.names.push(name);
-        m.index.insert(name, s);
-        s
-    }
+/// What [`link`] needs to know about one class without reading its tree
+/// or walking the symbol table.
+#[derive(Clone, Debug)]
+struct ClassSummary {
+    sym: SymbolId,
+    /// Rendered full name.
+    name: String,
+    /// Linearization (self first), as symbols.
+    linearization: Vec<SymbolId>,
+    /// The fields the class body defines, in body order.
+    fields: Vec<SymbolId>,
+    /// The class's own concrete methods (`METHOD && !DEFERRED` decls), in
+    /// declaration order.
+    methods: Vec<(Name, SymbolId)>,
+}
 
-    fn collect(&mut self, units: &[TreeRef]) -> Result<(), CodegenError> {
-        // Builtin classes first (function traits + Any), so closure classes
-        // can reference them.
-        let b = self.ctx.symbols.builtins();
-        for sym in std::iter::once(b.any_class).chain(b.function_classes) {
-            let id = self.program.classes.len() as ClassId;
-            self.class_of.insert(sym, id);
-            self.program.classes.push(VmClass::new(
-                self.ctx.symbols.sym(sym).name.as_str().to_owned(),
-                vec![id],
-                0,
-            ));
-        }
-        for unit in units {
-            let TreeKind::PackageDef { stats, .. } = unit.kind() else {
-                return err("expected PackageDef at unit root");
-            };
-            for s in stats {
-                match s.kind() {
-                    TreeKind::ClassDef { sym, body } => {
-                        let id = self.program.classes.len() as ClassId;
-                        self.class_of.insert(*sym, id);
-                        self.program.classes.push(VmClass::new(
-                            self.ctx.symbols.full_name(*sym),
-                            Vec::new(),
-                            0,
-                        ));
-                        self.class_defs.push((*sym, body.to_vec()));
-                    }
-                    TreeKind::DefDef { .. } => self.static_defs.push(s.clone()),
-                    TreeKind::Empty => {}
-                    other => {
-                        return err(format!("unexpected top-level {:?} node", other.node_kind()))
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Computes linearizations and field layouts. A class's fields are laid
-    /// out base-classes-first so that inherited field slots agree.
-    fn layout(&mut self) -> Result<(), CodegenError> {
-        let class_defs: HashMap<SymbolId, Vec<TreeRef>> = self
-            .class_defs
-            .iter()
-            .map(|(s, b)| (*s, b.clone()))
-            .collect();
-        for (sym, _) in self.class_defs.clone() {
-            let id = self.class_of[&sym];
-            let lin_syms = self.ctx.symbols.linearization(sym);
-            let lin: Vec<ClassId> = lin_syms
-                .iter()
-                .filter_map(|s| self.class_of.get(s).copied())
-                .collect();
-            // Local layout: base classes first; the same field may resolve
-            // to different local slots in different classes (trait fields),
-            // so instructions carry global ids resolved through the class.
-            let mut resolve = HashMap::new();
-            let mut local = 0u16;
-            for base in lin_syms.iter().rev() {
-                if let Some(body) = class_defs.get(base) {
-                    for m in body {
-                        if let TreeKind::ValDef { sym: f, .. } = m.kind() {
-                            let next_gid = self.field_slot.len() as u16;
-                            let gid = *self.field_slot.entry(*f).or_insert(next_gid);
-                            if let std::collections::hash_map::Entry::Vacant(e) = resolve.entry(gid)
-                            {
-                                e.insert(local);
-                                local += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            let c = &mut self.program.classes[id as usize];
-            c.linearization = lin;
-            c.n_fields = local;
-            c.field_resolve = resolve;
-        }
-        Ok(())
-    }
-
-    /// Assigns `FnId`s and builds vtables (base methods first so derived
-    /// definitions override).
-    fn declare_functions(&mut self) -> Result<(), CodegenError> {
-        // Statics.
-        for d in self.static_defs.clone() {
-            let TreeKind::DefDef { sym, .. } = d.kind() else {
-                unreachable!("collected as DefDef")
-            };
-            let id = self.reserve(*sym);
-            if self.ctx.symbols.sym(*sym).name == std_names::main() {
-                self.program.entry = Some(id);
-            }
-        }
-        // Methods.
-        for (sym, body) in self.class_defs.clone() {
-            for m in &body {
-                if let TreeKind::DefDef { sym: ms, .. } = m.kind() {
-                    self.reserve(*ms);
-                    let _ = sym;
-                }
-            }
-        }
-        // Vtables from linearizations.
-        for (sym, _) in self.class_defs.clone() {
-            let id = self.class_of[&sym];
-            let lin = self.ctx.symbols.linearization(sym);
-            let mut vtable = HashMap::new();
-            for base in lin.iter().rev() {
-                for d in self.ctx.symbols.decls_of(*base) {
-                    let sd = self.ctx.symbols.sym(d);
-                    // Constructors are included: they are only reached via
-                    // CallDirect on the exact class.
-                    if sd.flags.is(Flags::METHOD) && !sd.flags.is(Flags::DEFERRED) {
-                        if let Some(&f) = self.fn_of.get(&d) {
-                            vtable.insert(sd.name, f);
-                        }
-                    }
-                }
-            }
-            self.program.classes[id as usize].vtable = vtable;
-        }
-        Ok(())
-    }
-
-    fn reserve(&mut self, sym: SymbolId) -> FnId {
-        let id = self.program.functions.len() as FnId;
-        self.fn_of.insert(sym, id);
-        self.program.functions.push(Function {
-            name: self.ctx.symbols.full_name(sym),
-            n_params: 0,
-            n_locals: 0,
-            code: Vec::new(),
-            handlers: Vec::new(),
-        });
-        id
-    }
-
-    fn compile_all(&mut self) -> Result<(), CodegenError> {
-        for d in self.static_defs.clone() {
-            self.compile_def(&d, None)?;
-        }
-        for (cls, body) in self.class_defs.clone() {
-            for m in &body {
-                if matches!(m.kind(), TreeKind::DefDef { .. }) {
-                    self.compile_def(m, Some(cls))?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn compile_def(&mut self, d: &TreeRef, in_class: Option<SymbolId>) -> Result<(), CodegenError> {
-        let TreeKind::DefDef { sym, paramss, rhs } = d.kind() else {
-            return err("expected DefDef");
+impl UnitCode {
+    /// Modelled heap footprint in bytes (code, handlers, names, summaries
+    /// and import tables), for cache accounting.
+    pub fn approx_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let function = |f: &UnitFunction| {
+            size_of::<UnitFunction>()
+                + f.body.name.len()
+                + f.body.code.len() * size_of::<Insn>()
+                + f.body.handlers.len() * size_of::<Handler>()
         };
-        if rhs.is_empty_tree() {
-            // Abstract method: leave an empty body that traps if called.
-            return Ok(());
+        let class = |c: &ClassSummary| {
+            size_of::<ClassSummary>()
+                + c.name.len()
+                + (c.linearization.len() + c.fields.len()) * size_of::<SymbolId>()
+                + c.methods.len() * size_of::<(Name, SymbolId)>()
+        };
+        let bytes = size_of::<UnitCode>()
+            + self
+                .statics
+                .iter()
+                .chain(&self.methods)
+                .map(function)
+                .sum::<usize>()
+            + self.classes.iter().map(class).sum::<usize>()
+            + (self.class_imports.len() + self.function_imports.len()) * size_of::<SymbolId>()
+            + self.field_imports.len() * size_of::<(SymbolId, Name)>()
+            + self.method_imports.len() * size_of::<Name>();
+        bytes as u64
+    }
+}
+
+/// Compiles one lowered unit tree into relocatable [`UnitCode`].
+///
+/// # Errors
+///
+/// Returns a [`CodegenError`] if the tree still contains constructs that the
+/// phases were supposed to eliminate. Errors that depend on other units
+/// (an unknown callee or class, a selection that is not a field) surface
+/// from [`link`].
+pub fn compile_unit(ctx: &Ctx, unit: &TreeRef) -> Result<UnitCode, CodegenError> {
+    let TreeKind::PackageDef { stats, .. } = unit.kind() else {
+        return err("expected PackageDef at unit root");
+    };
+    let mut statics = Vec::new();
+    let mut classes = Vec::new();
+    for s in stats {
+        match s.kind() {
+            TreeKind::ClassDef { sym, body } => classes.push((*sym, body)),
+            TreeKind::DefDef { .. } => statics.push(s),
+            TreeKind::Empty => {}
+            other => return err(format!("unexpected top-level {:?} node", other.node_kind())),
         }
-        let fid = self.fn_of[sym];
+    }
+    let mut imports = ImportTables::default();
+    let mut out = UnitCode::default();
+    let main = std_names::main();
+    for d in statics {
+        let f = compile_def(ctx, &mut imports, d, false)?;
+        if ctx.symbols.sym(f.sym).name == main {
+            out.main = Some(out.statics.len());
+        }
+        out.statics.push(f);
+    }
+    out.static_methods = imports.methods.list.len();
+    for (sym, body) in classes {
+        let mut fields = Vec::new();
+        for m in body.iter() {
+            match m.kind() {
+                TreeKind::ValDef { sym: f, .. } => fields.push(*f),
+                TreeKind::DefDef { .. } => {
+                    out.methods.push(compile_def(ctx, &mut imports, m, true)?)
+                }
+                _ => {}
+            }
+        }
+        // Constructors are included: they are only reached via CallDirect
+        // on the exact class.
+        let methods = ctx
+            .symbols
+            .sym(sym)
+            .decls
+            .iter()
+            .filter_map(|&d| {
+                let sd = ctx.symbols.sym(d);
+                (sd.flags.is(Flags::METHOD) && !sd.flags.is(Flags::DEFERRED))
+                    .then_some((sd.name, d))
+            })
+            .collect();
+        out.classes.push(ClassSummary {
+            sym,
+            name: ctx.symbols.full_name(sym),
+            linearization: ctx.symbols.linearization(sym),
+            fields,
+            methods,
+        });
+    }
+    out.class_imports = imports.classes.list;
+    out.function_imports = imports.functions.list;
+    out.field_imports = imports.fields.list;
+    out.method_imports = imports.methods.list;
+    Ok(out)
+}
+
+/// Compiles one `DefDef` (an abstract one gets an empty body that traps if
+/// called).
+fn compile_def(
+    ctx: &Ctx,
+    imports: &mut ImportTables,
+    d: &TreeRef,
+    in_class: bool,
+) -> Result<UnitFunction, CodegenError> {
+    let TreeKind::DefDef { sym, paramss, rhs } = d.kind() else {
+        return err("expected DefDef");
+    };
+    let mut body = Function {
+        name: ctx.symbols.full_name(*sym),
+        n_params: 0,
+        n_locals: 0,
+        code: Vec::new(),
+        handlers: Vec::new(),
+    };
+    if !rhs.is_empty_tree() {
         let mut c = FnCompiler {
-            gen: self,
+            ctx,
+            imports,
             slots: HashMap::new(),
-            next_slot: 0,
+            next_slot: u16::from(in_class), // slot 0 = this
             code: Vec::new(),
             handlers: Vec::new(),
             labels: HashMap::new(),
         };
-        if in_class.is_some() {
-            c.next_slot = 1; // slot 0 = this
-        }
         for clause in paramss {
             for p in clause {
-                let ps = p.def_sym();
                 let slot = c.next_slot;
                 c.next_slot += 1;
-                c.slots.insert(ps, slot);
+                c.slots.insert(p.def_sym(), slot);
             }
         }
-        let n_params = c.next_slot;
+        body.n_params = c.next_slot;
         c.expr(rhs)?;
         c.code.push(Insn::Ret);
-        let (code, handlers, n_locals) = (c.code, c.handlers, c.next_slot);
-        let f = &mut self.program.functions[fid as usize];
-        f.n_params = n_params;
-        f.code = code;
-        f.handlers = handlers;
-        f.n_locals = n_locals;
-        Ok(())
+        body.n_locals = c.next_slot;
+        body.code = c.code;
+        body.handlers = c.handlers;
+    }
+    Ok(UnitFunction { sym: *sym, body })
+}
+
+/// One import table: distinct keys in first-use order.
+struct Imports<K> {
+    list: Vec<K>,
+    index: HashMap<K, u32>,
+}
+
+impl<K> Default for Imports<K> {
+    fn default() -> Self {
+        Imports {
+            list: Vec::new(),
+            index: HashMap::new(),
+        }
     }
 }
 
-struct FnCompiler<'g, 'a> {
-    gen: &'g Gen<'a>,
+impl<K: Copy + Eq + Hash> Imports<K> {
+    /// The unit-local index of `key`, added on first use.
+    fn get(&mut self, key: K) -> u32 {
+        let next = self.list.len() as u32;
+        *self.index.entry(key).or_insert_with(|| {
+            self.list.push(key);
+            next
+        })
+    }
+}
+
+/// The import tables one unit's functions fill while they are compiled.
+#[derive(Default)]
+struct ImportTables {
+    classes: Imports<SymbolId>,
+    functions: Imports<SymbolId>,
+    fields: Imports<(SymbolId, Name)>,
+    methods: Imports<Name>,
+}
+
+/// Links relocatable units into one runnable [`Program`] (see the module
+/// docs). `ctx` supplies the builtin classes and the wording of errors.
+///
+/// # Errors
+///
+/// Returns a [`CodegenError`] for a call to a function no unit defines,
+/// an allocation of or `super` call into a class no unit (or builtin)
+/// defines, or a selection or assignment of a symbol that is no generated
+/// class's field.
+pub fn link(ctx: &Ctx, units: &[&UnitCode]) -> Result<Program, CodegenError> {
+    let mut linker = Linker::new(ctx, units);
+    for (i, u) in units.iter().enumerate() {
+        for f in &u.statics {
+            linker.push(i, f.body.clone())?;
+        }
+    }
+    for (i, u) in units.iter().enumerate() {
+        for f in &u.methods {
+            linker.push(i, f.body.clone())?;
+        }
+    }
+    Ok(linker.finish())
+}
+
+/// A program under construction: every id assigned and every table built,
+/// waiting for the function bodies, which must be pushed in function-id
+/// order (every unit's top-level functions, then every unit's methods).
+struct Linker<'c> {
+    ctx: &'c Ctx,
+    program: Program,
+    /// Per unit, its import tables resolved to program-wide ids.
+    units: Vec<Relocation>,
+}
+
+impl<'c> Linker<'c> {
+    fn new(ctx: &'c Ctx, units: &[&UnitCode]) -> Linker<'c> {
+        let mut program = Program::default();
+        // Builtin classes first (function traits + Any), so closure classes
+        // can reference them.
+        let mut class_of: HashMap<SymbolId, ClassId> = HashMap::new();
+        let b = ctx.symbols.builtins();
+        for sym in std::iter::once(b.any_class).chain(b.function_classes) {
+            let id = program.classes.len() as ClassId;
+            class_of.insert(sym, id);
+            program.classes.push(VmClass::new(
+                ctx.symbols.sym(sym).name.as_str().to_owned(),
+                vec![id],
+                0,
+            ));
+        }
+        let first_class = program.classes.len();
+        let summaries: Vec<&ClassSummary> = units.iter().flat_map(|u| &u.classes).collect();
+        let mut summary_of: HashMap<SymbolId, &ClassSummary> = HashMap::new();
+        for c in &summaries {
+            class_of.insert(c.sym, program.classes.len() as ClassId);
+            summary_of.insert(c.sym, c);
+            program
+                .classes
+                .push(VmClass::new(c.name.clone(), Vec::new(), 0));
+        }
+
+        // Function ids: every unit's top-level functions, then every unit's
+        // methods.
+        let all_functions: Vec<&UnitFunction> = units
+            .iter()
+            .flat_map(|u| &u.statics)
+            .chain(units.iter().flat_map(|u| &u.methods))
+            .collect();
+        program.functions.reserve_exact(all_functions.len());
+        let fn_of: HashMap<SymbolId, FnId> = all_functions
+            .iter()
+            .enumerate()
+            .map(|(id, f)| (f.sym, id as FnId))
+            .collect();
+        let mut statics_before = 0;
+        for u in units {
+            if let Some(i) = u.main {
+                program.entry = Some((statics_before + i) as FnId);
+            }
+            statics_before += u.statics.len();
+        }
+
+        // Layouts (base classes first, so inherited field slots agree) and
+        // vtables (base methods first, so derived definitions override).
+        // The same field may resolve to different local slots in different
+        // classes (trait fields), so instructions carry global field ids
+        // resolved through the receiver's class.
+        let mut field_id: HashMap<SymbolId, u16> = HashMap::new();
+        for (i, c) in summaries.iter().enumerate() {
+            let mut resolve = HashMap::new();
+            let mut local = 0u16;
+            let mut vtable = HashMap::new();
+            for base in c.linearization.iter().rev() {
+                let Some(base) = summary_of.get(base) else {
+                    continue;
+                };
+                for f in &base.fields {
+                    let next_gid = field_id.len() as u16;
+                    let gid = *field_id.entry(*f).or_insert(next_gid);
+                    resolve.entry(gid).or_insert_with(|| {
+                        local += 1;
+                        local - 1
+                    });
+                }
+                for (name, m) in &base.methods {
+                    if let Some(&f) = fn_of.get(m) {
+                        vtable.insert(*name, f);
+                    }
+                }
+            }
+            let class = &mut program.classes[first_class + i];
+            class.linearization = c
+                .linearization
+                .iter()
+                .filter_map(|s| class_of.get(s).copied())
+                .collect();
+            class.n_fields = local;
+            class.field_resolve = resolve;
+            class.vtable = vtable;
+        }
+
+        // Method slots, interned in whole-program first-use order: selectors
+        // first used by top-level functions, then the methods' (see
+        // `UnitCode::static_methods`).
+        let mut slot_of: HashMap<Name, MethodSlot> = HashMap::new();
+        let mut intern = |names: &[Name]| {
+            for &n in names {
+                let next = program.method_names.len() as MethodSlot;
+                slot_of.entry(n).or_insert_with(|| {
+                    program.method_names.push(n);
+                    next
+                });
+            }
+        };
+        for u in units {
+            intern(&u.method_imports[..u.static_methods]);
+        }
+        for u in units {
+            intern(&u.method_imports[u.static_methods..]);
+        }
+
+        // Each unit's imports, resolved (the error payloads word the
+        // failure if a relocated instruction needs an unresolved one).
+        let units = units
+            .iter()
+            .map(|u| Relocation {
+                classes: u
+                    .class_imports
+                    .iter()
+                    .map(|s| class_of.get(s).copied().ok_or(*s))
+                    .collect(),
+                functions: u
+                    .function_imports
+                    .iter()
+                    .map(|s| fn_of.get(s).copied().ok_or(*s))
+                    .collect(),
+                fields: u
+                    .field_imports
+                    .iter()
+                    .map(|(s, name)| field_id.get(s).copied().ok_or(*name))
+                    .collect(),
+                methods: u.method_imports.iter().map(|n| slot_of[n]).collect(),
+            })
+            .collect();
+        Linker {
+            ctx,
+            program,
+            units,
+        }
+    }
+
+    /// Appends the next function, a body of unit `unit`, with every import
+    /// operand replaced by its id.
+    fn push(&mut self, unit: usize, mut f: Function) -> Result<(), CodegenError> {
+        let r = &self.units[unit];
+        let name = |sym: SymbolId| self.ctx.symbols.full_name(sym);
+        for insn in &mut f.code {
+            *insn = match *insn {
+                Insn::CallStatic(i, argc) => match r.functions[i as usize] {
+                    Ok(f) => Insn::CallStatic(f, argc),
+                    Err(sym) => return err(format!("call to unknown function `{}`", name(sym))),
+                },
+                Insn::New(i) => match r.classes[i as usize] {
+                    Ok(c) => Insn::New(c),
+                    Err(sym) => return err(format!("unknown class `{}`", name(sym))),
+                },
+                // A constructor call's class was checked at its `New`.
+                Insn::CallDirect(i, m, argc) => match r.classes[i as usize] {
+                    Ok(c) => Insn::CallDirect(c, r.methods[m as usize], argc),
+                    Err(_) => return err("super call into unknown class"),
+                },
+                Insn::CallVirtual(m, argc) => Insn::CallVirtual(r.methods[m as usize], argc),
+                Insn::GetField(i) => match r.fields[i as usize] {
+                    Ok(g) => Insn::GetField(g),
+                    Err(field) => {
+                        return err(format!("naked method selection `{field}` reached backend"))
+                    }
+                },
+                Insn::PutField(i) => match r.fields[i as usize] {
+                    Ok(g) => Insn::PutField(g),
+                    Err(field) => return err(format!("assignment to non-field `{field}`")),
+                },
+                Insn::IsInstance(t) => Insn::IsInstance(r.type_test(t)),
+                Insn::Cast(t) => Insn::Cast(r.type_test(t)),
+                other => other,
+            };
+        }
+        self.program.functions.push(f);
+        Ok(())
+    }
+
+    fn finish(mut self) -> Program {
+        self.program.link();
+        self.program
+    }
+}
+
+/// One unit's import tables resolved to program-wide ids, or to what words
+/// the error if nothing in the program defines the import.
+struct Relocation {
+    classes: Vec<Result<ClassId, SymbolId>>,
+    functions: Vec<Result<FnId, SymbolId>>,
+    fields: Vec<Result<u16, Name>>,
+    methods: Vec<MethodSlot>,
+}
+
+impl Relocation {
+    /// A test against a class no unit generates accepts anything.
+    fn type_test(&self, t: TypeTest) -> TypeTest {
+        match t {
+            TypeTest::Class(i) => self.classes[i as usize].map_or(TypeTest::Any, TypeTest::Class),
+            other => other,
+        }
+    }
+}
+
+/// Emits one function body; operands naming anything outside the function
+/// index the unit's import tables.
+struct FnCompiler<'a> {
+    ctx: &'a Ctx,
+    imports: &'a mut ImportTables,
     slots: HashMap<SymbolId, u16>,
     next_slot: u16,
     code: Vec<Insn>,
@@ -293,7 +583,7 @@ struct FnCompiler<'g, 'a> {
     labels: HashMap<SymbolId, (u32, Vec<u16>)>,
 }
 
-impl FnCompiler<'_, '_> {
+impl FnCompiler<'_> {
     fn pc(&self) -> u32 {
         self.code.len() as u32
     }
@@ -321,7 +611,13 @@ impl FnCompiler<'_, '_> {
         s
     }
 
-    fn type_test(&self, t: &Type) -> Result<TypeTest, CodegenError> {
+    /// The field import of a selection of `sym` as `name`.
+    fn field(&mut self, sym: SymbolId, name: Name) -> Result<u16, CodegenError> {
+        u16::try_from(self.imports.fields.get((sym, name)))
+            .or_else(|_| err("too many distinct field references in one unit"))
+    }
+
+    fn type_test(&mut self, t: &Type) -> Result<TypeTest, CodegenError> {
         Ok(match t {
             Type::Any => TypeTest::Any,
             Type::AnyRef => TypeTest::AnyRef,
@@ -332,10 +628,7 @@ impl FnCompiler<'_, '_> {
             Type::Null => TypeTest::Null,
             Type::Array(_) => TypeTest::Array,
             Type::Nothing => TypeTest::Null, // uninhabited; test never passes usefully
-            Type::Class { sym, .. } => match self.gen.class_of.get(sym) {
-                Some(&c) => TypeTest::Class(c),
-                None => TypeTest::Any,
-            },
+            Type::Class { sym, .. } => TypeTest::Class(self.imports.classes.get(*sym)),
             other => return err(format!("type {other} not erased before backend")),
         })
     }
@@ -378,7 +671,7 @@ impl FnCompiler<'_, '_> {
                 let Some(&s) = self.slots.get(sym) else {
                     return err(format!(
                         "reference to `{}` is not a local slot (was it lifted?)",
-                        self.gen.ctx.symbols.full_name(*sym)
+                        self.ctx.symbols.full_name(*sym)
                     ));
                 };
                 self.emit(Insn::Load(s));
@@ -388,24 +681,24 @@ impl FnCompiler<'_, '_> {
             }
             TreeKind::Select { qual, name, sym } => {
                 // Field read.
-                if name.as_str() == "length" && matches!(qual.tpe(), Type::Array(_)) {
+                let length = *name == std_names::length();
+                if length && matches!(qual.tpe(), Type::Array(_)) {
                     self.expr(qual)?;
                     self.emit(Insn::ALen);
                     return Ok(());
                 }
-                if name.as_str() == "length" && *qual.tpe() == Type::Str {
+                if length && *qual.tpe() == Type::Str {
                     self.expr(qual)?;
                     self.emit(Insn::SLen);
                     return Ok(());
                 }
-                if sym.exists() {
-                    if let Some(&slot) = self.gen.field_slot.get(sym) {
-                        self.expr(qual)?;
-                        self.emit(Insn::GetField(slot));
-                        return Ok(());
-                    }
+                // Whether the symbol is a field at all is decided at link.
+                if !sym.exists() {
+                    return err(format!("naked method selection `{name}` reached backend"));
                 }
-                return err(format!("naked method selection `{name}` reached backend"));
+                let field = self.field(*sym, *name)?;
+                self.expr(qual)?;
+                self.emit(Insn::GetField(field));
             }
             TreeKind::Apply { fun, args } => self.apply(t, fun, args)?,
             TreeKind::Block { stats, expr } => {
@@ -448,20 +741,17 @@ impl FnCompiler<'_, '_> {
                     self.emit(Insn::ConstUnit);
                 }
                 TreeKind::Select { qual, sym, name } => {
-                    let Some(&slot) = self.gen.field_slot.get(sym) else {
-                        return err(format!("assignment to non-field `{name}`"));
-                    };
+                    let field = self.field(*sym, *name)?;
                     self.expr(qual)?;
                     self.expr(rhs)?;
-                    self.emit(Insn::PutField(slot));
+                    self.emit(Insn::PutField(field));
                     self.emit(Insn::ConstUnit);
                 }
                 other => return err(format!("bad assignment target {:?}", other.node_kind())),
             },
             TreeKind::Labeled { label, body } => {
-                let param_slots: Vec<u16> = self
-                    .gen
-                    .ctx
+                let ctx = self.ctx;
+                let param_slots: Vec<u16> = ctx
                     .symbols
                     .sym(*label)
                     .decls
@@ -632,18 +922,13 @@ impl FnCompiler<'_, '_> {
                 let Some(cls_sym) = tpe.class_sym() else {
                     return err(format!("cannot allocate {tpe}"));
                 };
-                let Some(&cid) = self.gen.class_of.get(&cls_sym) else {
-                    return err(format!(
-                        "unknown class `{}`",
-                        self.gen.ctx.symbols.full_name(cls_sym)
-                    ));
-                };
+                let cid = self.imports.classes.get(cls_sym);
                 self.emit(Insn::New(cid));
                 self.emit(Insn::Dup);
                 for a in args {
                     self.expr(a)?;
                 }
-                let slot = self.gen.method_slot(std_names::init());
+                let slot = self.imports.methods.get(std_names::init());
                 self.emit(Insn::CallDirect(cid, slot, args.len() as u16 + 1));
                 self.emit(Insn::Pop); // drop the unit returned by <init>
                 Ok(())
@@ -653,7 +938,7 @@ impl FnCompiler<'_, '_> {
             }
             TreeKind::Ident { sym } => {
                 // Static call (top-level def) or builtin println.
-                if *sym == self.gen.ctx.symbols.builtins().println_fn {
+                if *sym == self.ctx.symbols.builtins().println_fn {
                     if args.len() != 1 {
                         return err("println takes one argument");
                     }
@@ -661,12 +946,7 @@ impl FnCompiler<'_, '_> {
                     self.emit(Insn::Println);
                     return Ok(());
                 }
-                let Some(&fid) = self.gen.fn_of.get(sym) else {
-                    return err(format!(
-                        "call to unknown function `{}`",
-                        self.gen.ctx.symbols.full_name(*sym)
-                    ));
-                };
+                let fid = self.imports.functions.get(*sym);
                 for a in args {
                     self.expr(a)?;
                 }
@@ -685,38 +965,31 @@ impl FnCompiler<'_, '_> {
         sym: SymbolId,
         args: &[TreeRef],
     ) -> Result<(), CodegenError> {
-        let n = name.as_str();
+        use std_names as n;
         // Array intrinsics.
         if matches!(qual.tpe(), Type::Array(_)) {
-            match n {
-                "apply" if args.len() == 1 => {
-                    self.expr(qual)?;
-                    self.expr(&args[0])?;
-                    self.emit(Insn::ALoad);
-                    return Ok(());
+            let op = match args.len() {
+                1 if name == n::apply() => Some((Insn::ALoad, args)),
+                2 if name == n::update() => Some((Insn::AStore, args)),
+                _ if name == n::length() => Some((Insn::ALen, &args[..0])),
+                _ => None,
+            };
+            if let Some((op, args)) = op {
+                self.expr(qual)?;
+                for a in args {
+                    self.expr(a)?;
                 }
-                "update" if args.len() == 2 => {
-                    self.expr(qual)?;
-                    self.expr(&args[0])?;
-                    self.expr(&args[1])?;
-                    self.emit(Insn::AStore);
-                    return Ok(());
-                }
-                "length" => {
-                    self.expr(qual)?;
-                    self.emit(Insn::ALen);
-                    return Ok(());
-                }
-                _ => {}
+                self.emit(op);
+                return Ok(());
             }
         }
         // Primitive / universal operators (no resolved symbol).
         if !sym.exists() {
-            match (n, args.len()) {
-                ("&&", 1) => {
+            match args {
+                [rhs] if name == n::amp_amp() => {
                     self.expr(qual)?;
                     let jf = self.emit(Insn::JumpIfFalse(0));
-                    self.expr(&args[0])?;
+                    self.expr(rhs)?;
                     let je = self.emit(Insn::Jump(0));
                     let lf = self.pc();
                     self.patch(jf, lf);
@@ -725,10 +998,10 @@ impl FnCompiler<'_, '_> {
                     self.patch(je, end);
                     return Ok(());
                 }
-                ("||", 1) => {
+                [rhs] if name == n::bar_bar() => {
                     self.expr(qual)?;
                     let jt = self.emit(Insn::JumpIfTrue(0));
-                    self.expr(&args[0])?;
+                    self.expr(rhs)?;
                     let je = self.emit(Insn::Jump(0));
                     let lt = self.pc();
                     self.patch(jt, lt);
@@ -737,66 +1010,46 @@ impl FnCompiler<'_, '_> {
                     self.patch(je, end);
                     return Ok(());
                 }
-                ("!", 0) => {
+                [] if name == n::bang() || name == n::minus() => {
                     self.expr(qual)?;
-                    self.emit(Insn::Not);
-                    return Ok(());
-                }
-                ("-", 0) => {
-                    self.expr(qual)?;
-                    self.emit(Insn::Neg);
-                    return Ok(());
-                }
-                ("+", 1) if *node.tpe() == Type::Str => {
-                    self.expr(qual)?;
-                    self.expr(&args[0])?;
-                    self.emit(Insn::Concat);
-                    return Ok(());
-                }
-                (op @ ("+" | "-" | "*" | "/" | "%" | "<" | ">" | "<=" | ">="), 1) => {
-                    self.expr(qual)?;
-                    self.expr(&args[0])?;
-                    self.emit(match op {
-                        "+" => Insn::Add,
-                        "-" => Insn::Sub,
-                        "*" => Insn::Mul,
-                        "/" => Insn::Div,
-                        "%" => Insn::Mod,
-                        "<" => Insn::CmpLt,
-                        ">" => Insn::CmpGt,
-                        "<=" => Insn::CmpLe,
-                        _ => Insn::CmpGe,
+                    self.emit(if name == n::bang() {
+                        Insn::Not
+                    } else {
+                        Insn::Neg
                     });
                     return Ok(());
                 }
-                ("==", 1) => {
-                    self.expr(qual)?;
-                    self.expr(&args[0])?;
-                    self.emit(Insn::CmpEq);
-                    return Ok(());
-                }
-                ("!=", 1) => {
-                    self.expr(qual)?;
-                    self.expr(&args[0])?;
-                    self.emit(Insn::CmpEq);
-                    self.emit(Insn::Not);
-                    return Ok(());
-                }
-                _ => {
-                    // A by-name virtual call (e.g. trait-init calls emitted
-                    // before the init symbol exists): dispatch dynamically.
-                    self.expr(qual)?;
-                    for a in args {
-                        self.expr(a)?;
+                [rhs] => {
+                    let ops = if name == n::plus() && *node.tpe() == Type::Str {
+                        [Some(Insn::Concat), None]
+                    } else if name == n::neq() {
+                        [Some(Insn::CmpEq), Some(Insn::Not)]
+                    } else {
+                        [binary_op(name), None]
+                    };
+                    if ops[0].is_some() {
+                        self.expr(qual)?;
+                        self.expr(rhs)?;
+                        for op in ops.into_iter().flatten() {
+                            self.emit(op);
+                        }
+                        return Ok(());
                     }
-                    let slot = self.gen.method_slot(name);
-                    self.emit(Insn::CallVirtual(slot, args.len() as u16 + 1));
-                    return Ok(());
                 }
+                _ => {}
             }
+            // A by-name virtual call (e.g. trait-init calls emitted before
+            // the init symbol exists): dispatch dynamically.
+            self.expr(qual)?;
+            for a in args {
+                self.expr(a)?;
+            }
+            let slot = self.imports.methods.get(name);
+            self.emit(Insn::CallVirtual(slot, args.len() as u16 + 1));
+            return Ok(());
         }
         // Universal members of Any.
-        let b = self.gen.ctx.symbols.builtins();
+        let b = self.ctx.symbols.builtins();
         if sym == b.equals_meth {
             self.expr(qual)?;
             self.expr(&args[0])?;
@@ -815,15 +1068,13 @@ impl FnCompiler<'_, '_> {
         }
         // Super call: direct dispatch into the defining class.
         if let TreeKind::Super { .. } = qual.kind() {
-            let owner = self.gen.ctx.symbols.sym(sym).owner;
-            let Some(&cid) = self.gen.class_of.get(&owner) else {
-                return err("super call into unknown class");
-            };
+            let owner = self.ctx.symbols.sym(sym).owner;
+            let cid = self.imports.classes.get(owner);
             self.emit(Insn::Load(0));
             for a in args {
                 self.expr(a)?;
             }
-            let slot = self.gen.method_slot(name);
+            let slot = self.imports.methods.get(name);
             self.emit(Insn::CallDirect(cid, slot, args.len() as u16 + 1));
             return Ok(());
         }
@@ -832,10 +1083,29 @@ impl FnCompiler<'_, '_> {
         for a in args {
             self.expr(a)?;
         }
-        let slot = self.gen.method_slot(name);
+        let slot = self.imports.methods.get(name);
         self.emit(Insn::CallVirtual(slot, args.len() as u16 + 1));
         Ok(())
     }
+}
+
+/// The instruction of a primitive binary operator on ints (`==` included).
+fn binary_op(name: Name) -> Option<Insn> {
+    use std_names as n;
+    [
+        (n::plus(), Insn::Add),
+        (n::minus(), Insn::Sub),
+        (n::times(), Insn::Mul),
+        (n::div(), Insn::Div),
+        (n::modulo(), Insn::Mod),
+        (n::lt(), Insn::CmpLt),
+        (n::gt(), Insn::CmpGt),
+        (n::le(), Insn::CmpLe),
+        (n::ge(), Insn::CmpGe),
+        (n::eq_eq(), Insn::CmpEq),
+    ]
+    .into_iter()
+    .find_map(|(k, op)| (k == name).then_some(op))
 }
 
 /// Peephole superinstruction selection over one function body.

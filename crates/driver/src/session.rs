@@ -34,15 +34,30 @@
 //!    package scope here.
 //!
 //! 3. **Content-addressed unit artifacts.** Each compiled unit caches its
-//!    post-pipeline tree, per-group [`ExecStats`] and checker findings, and
-//!    its symbol-table delta, keyed by `(source hash, dep-interface
-//!    hashes, plan fingerprint, options fingerprint)`. The *dep-interface
-//!    hash* ([`mini_ir::fingerprint::export_interface_hash`]) covers a
+//!    post-pipeline tree, per-group [`ExecStats`] and checker findings,
+//!    its sorted lint findings, its symbol-table delta and its relocatable
+//!    bytecode ([`mini_backend::UnitCode`]), keyed by `(source hash,
+//!    dep-interface hashes, plan fingerprint, options fingerprint)`. The
+//!    *dep-interface hash*
+//!    ([`mini_ir::fingerprint::export_interface_hash`]) covers a
 //!    dependency's exported surface only — names, flags, rendered types,
-//!    member signatures — so **body-only edits do not cascade**: the
-//!    edited unit recompiles alone, its dependents' keys still match.
+//!    parents, member signatures — so **body-only edits do not cascade**:
+//!    the edited unit recompiles alone, its dependents' keys still match.
 //!    Signature edits change the dep hash and invalidate exactly the
 //!    (transitive) dependents, discovered by the typer's recorded dep set.
+//!
+//!    The unit code is compiled by the first `compile()` that splices the
+//!    artifact, against that compile's assembled table (artifacts imported
+//!    from the shared store get theirs the same way), and reused by every
+//!    later one: a warm `compile()` only links. It is valid under the same
+//!    key as the tree. [`mini_backend::compile_unit`] reads the unit's own
+//!    tree and symbols and, of its dependencies, only class parents and
+//!    member owners, which the dep-interface hash covers; every cross-unit
+//!    reference (callee, class, field, method selector) stays symbolic
+//!    until [`mini_backend::link`] resolves it over the whole program, so
+//!    a dependency's body edit that adds classes, functions or fields
+//!    shifts ids only at link (`tests/unit_codegen.rs` and the program
+//!    dump in `tests/incremental_equivalence.rs` pin this).
 //!
 //! 4. **Delta splicing instead of table mutation.** `compile()` assembles
 //!    the program table as a copy-on-write view of the pristine frontend
@@ -71,10 +86,11 @@
 //!    (`tests/splice_aliasing.rs` pins both this and the no-copy splice).
 //!
 //! Determinism: a session compile after any edit series is byte-identical
-//! — printed trees, VM output, checker findings, merged `ExecStats` — to a
-//! from-scratch [`compile_sources`](crate::compile_sources) over the same
-//! sources in unit-name order, across fused/mega, `jobs`, pruning and
-//! checker configurations (`tests/incremental_equivalence.rs` pins this).
+//! — printed trees, the linked program, VM output, checker findings,
+//! merged `ExecStats` — to a from-scratch
+//! [`compile_sources`](crate::compile_sources) over the same sources in
+//! unit-name order, across fused/mega, `jobs`, pruning and checker
+//! configurations (`tests/incremental_equivalence.rs` pins this).
 //! Two deliberate, output-invisible divergences: symbol/node *ids* differ
 //! (printing and codegen never consume raw ids), and the root package's
 //! `decls` order differs (nothing consumes it — see
@@ -135,7 +151,7 @@ use crate::{
     diagnostics_error, phase_factory, standard_plan, CompileError, Compiled, CompilerOptions,
     StageTimes,
 };
-use mini_backend::generate;
+use mini_backend::{compile_unit, link, UnitCode};
 use mini_ir::fingerprint::{binding_fingerprint, export_interface_hash, source_fingerprint, Fnv64};
 use mini_ir::{Ctx, SymbolDelta, SymbolId, SymbolTable, TreeRef};
 use miniphase::{
@@ -245,21 +261,28 @@ struct UnitArtifact {
     stats_by_group: Vec<ExecStats>,
     /// Per-group checker findings (empty unless `check`).
     failures_by_group: Vec<Vec<CheckFailure>>,
-    /// Per-group static-analysis findings (empty unless `lint`), each
-    /// stamped with this unit's name. Cached so warm edits replay lint
-    /// results without re-traversing — per-unit scoping of every rule is
-    /// what makes this sound.
-    findings_by_group: Vec<Vec<Finding>>,
+    /// Static-analysis findings (empty unless `lint`), each stamped with
+    /// this unit's name, in canonical order ([`sort_findings`]). Cached so
+    /// warm edits replay lint results without re-traversing — per-unit
+    /// scoping of every rule is what makes this sound — and sorted once
+    /// here, so a compile concatenates them in unit order (the sort key
+    /// leads with the unit name).
+    findings: Vec<Finding>,
     /// Symbol-table delta (this unit's own symbols, builtins,
     /// root-package appends).
     delta: SymbolDelta,
+    /// The unit's relocatable bytecode, built by the first compile that
+    /// links this artifact and reused by every later one (module
+    /// invariant 3).
+    code: Option<Arc<UnitCode>>,
     /// Compile sequence number the artifact was (re)built in — the age key
     /// of the byte-budget eviction. Assigned at creation only: every live
     /// unit is spliced each compile, so last-*use* stamps would be
     /// uniform; least-recently-**recompiled** is the meaningful order.
     stamp: u64,
     /// Modelled size of the cached artifact (tree nodes × mean node
-    /// footprint) — the unit the cache byte budget is accounted in.
+    /// footprint, plus [`UnitCode::approx_bytes`] once the code is built)
+    /// — the unit the cache byte budget is accounted in.
     approx_bytes: u64,
     /// `[lo, hi)` symbol-id range of the artifact's delta shards. Local
     /// artifacts get their pipeline slot's range; imported ones carry the
@@ -633,8 +656,9 @@ impl CompileSession {
                             tree: art.tree,
                             stats_by_group: art.stats_by_group,
                             failures_by_group: art.failures_by_group,
-                            findings_by_group: art.findings_by_group,
+                            findings: sorted_findings(art.findings_by_group),
                             delta: art.delta,
+                            code: None,
                             stamp,
                             approx_bytes,
                             sym_range: art.sym_range,
@@ -775,7 +799,6 @@ impl CompileSession {
         let mut failure_groups: Vec<Vec<CheckFailure>> = vec![Vec::new(); groups];
         let mut findings: Vec<Finding> = Vec::new();
         let mut table = self.front.symbols.splice_view();
-        let mut trees: Vec<TreeRef> = Vec::with_capacity(self.units.len());
         let mut out_units: Vec<CompilationUnit> = Vec::with_capacity(self.units.len());
         for (name, state) in &self.units {
             let a = state
@@ -791,16 +814,12 @@ impl CompileSession {
                     .expect("group count matches the plan")
                     .extend(fs.iter().cloned());
             }
-            for fs in &a.findings_by_group {
-                findings.extend(fs.iter().cloned());
-            }
+            // Each unit's findings are sorted and lead with its name, so
+            // concatenating them in unit order is the canonical order.
+            findings.extend(a.findings.iter().cloned());
             table.adopt(&a.delta);
-            trees.push(a.tree.clone());
             out_units.push(CompilationUnit::new(name.clone(), a.tree.clone()));
         }
-        // The canonical sort makes spliced-from-cache and freshly-compiled
-        // assemblies byte-identical regardless of unit iteration order.
-        sort_findings(&mut findings);
         let failures: Vec<CheckFailure> = failure_groups.into_iter().flatten().collect();
         if self.opts.check && !failures.is_empty() {
             // The pipeline completed and the artifacts are valid — findings
@@ -811,10 +830,27 @@ impl CompileSession {
         // backend reads the assembled table at the final period.
         table.set_info_plan(info_plan);
         table.set_period(periods.last().copied().unwrap_or(0));
-        let mut backend_ctx = Ctx::new();
-        backend_ctx.options = self.front.options;
-        backend_ctx.symbols = table;
-        let program = generate(&backend_ctx, &trees).map_err(CompileError::Codegen)?;
+        let backend_ctx = Ctx::with_symbols(table, self.front.options);
+        // Codegen: units cached by an earlier compile bring their code;
+        // the others compile theirs against this table, once, and keep it.
+        let mut code: Vec<Arc<UnitCode>> = Vec::with_capacity(self.units.len());
+        for state in self.units.values_mut() {
+            let a = state.cached.as_mut().expect("every unit is cached");
+            let unit_code = match &a.code {
+                Some(c) => Arc::clone(c),
+                None => {
+                    let c = Arc::new(
+                        compile_unit(&backend_ctx, &a.tree).map_err(CompileError::Codegen)?,
+                    );
+                    a.approx_bytes += c.approx_bytes();
+                    a.code = Some(Arc::clone(&c));
+                    c
+                }
+            };
+            code.push(unit_code);
+        }
+        let refs: Vec<&UnitCode> = code.iter().map(|c| &**c).collect();
+        let program = link(&backend_ctx, &refs).map_err(CompileError::Codegen)?;
         let backend = be_start.elapsed();
         // Enforce the artifact-cache byte budget only after the program is
         // assembled — an eviction costs the *next* compile a recompile,
@@ -908,8 +944,9 @@ impl CompileSession {
             tree: run.unit.tree,
             stats_by_group: run.stats_by_group,
             failures_by_group: run.failures_by_group,
-            findings_by_group: run.findings_by_group,
+            findings: sorted_findings(run.findings_by_group),
             delta,
+            code: None,
             stamp,
             approx_bytes,
             sym_range,
@@ -929,7 +966,7 @@ impl CompileSession {
                     &a.tree,
                     &a.stats_by_group,
                     &a.failures_by_group,
-                    &a.findings_by_group,
+                    std::slice::from_ref(&a.findings),
                     a.delta.clone(),
                     a.sym_range,
                 ) {
@@ -1149,6 +1186,13 @@ fn slot_span(floor: u32, n: u32) -> u32 {
     SESSION_SHARD_CAPACITY
         .max(1)
         .min((u32::MAX - floor) / (n * 2).max(1))
+}
+
+/// One unit's per-group lint findings, flattened into canonical order.
+fn sorted_findings(by_group: Vec<Vec<Finding>>) -> Vec<Finding> {
+    let mut findings: Vec<Finding> = by_group.into_iter().flatten().collect();
+    sort_findings(&mut findings);
+    findings
 }
 
 /// Hashes the output-relevant compiler configuration: mode, checker, fusion

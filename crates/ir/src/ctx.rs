@@ -151,18 +151,14 @@ pub struct Ctx {
 impl Ctx {
     /// Creates a context with a fresh symbol table.
     pub fn new() -> Ctx {
-        Ctx {
-            symbols: SymbolTable::new(),
-            options: IrOptions::default(),
-            access: None,
-            stats: AllocStats::default(),
-            errors: Vec::new(),
-            next_id: 1,
-            heap_cursor: 0x1000, // keep address 0 unused
-            fresh: 0,
-            interned: InternCache::default(),
-            budget_breached: false,
-        }
+        Ctx::with_symbols(SymbolTable::new(), IrOptions::default())
+    }
+
+    /// Creates a context around an existing symbol table (for example a
+    /// [`SymbolTable::splice_view`] a backend reads), with fresh
+    /// allocators.
+    pub fn with_symbols(symbols: SymbolTable, options: IrOptions) -> Ctx {
+        Ctx::worker(symbols, options, 1, 0x1000) // keep address 0 unused
     }
 
     /// Builds a worker-private context for parallel compilation: a forked

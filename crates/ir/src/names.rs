@@ -11,8 +11,8 @@ use std::sync::{Mutex, OnceLock};
 
 /// A handle to an interned identifier.
 ///
-/// `Name`s are cheap to copy and compare; resolving one back to its string is
-/// a lock-free read of a leaked `'static` slice.
+/// `Name`s are cheap to copy and compare; resolving one back to its string
+/// takes the interner lock, so hot paths compare `Name`s instead.
 ///
 /// # Examples
 ///
@@ -98,15 +98,20 @@ impl fmt::Debug for Name {
     }
 }
 
-/// Well-known names used throughout the pipeline.
+/// Well-known names used throughout the pipeline. Each is interned on
+/// first use and then read without the interner lock.
 pub mod std_names {
     use super::Name;
+    use std::sync::OnceLock;
 
     macro_rules! known {
         ($($fn_name:ident => $text:expr;)*) => {
             $(
                 #[doc = concat!("The interned name `", $text, "`.")]
-                pub fn $fn_name() -> Name { Name::intern($text) }
+                pub fn $fn_name() -> Name {
+                    static NAME: OnceLock<Name> = OnceLock::new();
+                    *NAME.get_or_init(|| Name::intern($text))
+                }
             )*
         };
     }
@@ -115,6 +120,8 @@ pub mod std_names {
         init => "<init>";
         main => "main";
         apply => "apply";
+        update => "update";
+        length => "length";
         wildcard => "_";
         this_ => "this";
         outer => "$outer";

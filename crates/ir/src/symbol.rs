@@ -1330,17 +1330,6 @@ impl SymbolTable {
         }
     }
 
-    /// The chain of owners from `sym` (exclusive) to the root.
-    pub fn owner_chain(&self, sym: SymbolId) -> Vec<SymbolId> {
-        let mut out = Vec::new();
-        let mut cur = self.sym(sym).owner;
-        while cur.exists() {
-            out.push(cur);
-            cur = self.sym(cur).owner;
-        }
-        out
-    }
-
     /// The innermost enclosing class of `sym` (or `NONE`).
     pub fn enclosing_class(&self, sym: SymbolId) -> SymbolId {
         let mut cur = sym;
@@ -1659,15 +1648,20 @@ impl SymbolTable {
         if !sym.exists() {
             return "<none>".to_owned();
         }
-        let mut parts = vec![self.sym(sym).name.as_str().to_owned()];
-        for o in self.owner_chain(sym) {
-            if o == self.builtins.root_pkg || !o.exists() {
-                break;
-            }
-            parts.push(self.sym(o).name.as_str().to_owned());
+        let mut names = vec![self.sym(sym).name];
+        let mut owner = self.sym(sym).owner;
+        while owner.exists() && owner != self.builtins.root_pkg {
+            names.push(self.sym(owner).name);
+            owner = self.sym(owner).owner;
         }
-        parts.reverse();
-        parts.join(".")
+        let mut out = String::new();
+        for (i, n) in names.iter().rev().enumerate() {
+            if i > 0 {
+                out.push('.');
+            }
+            out.push_str(n.as_str());
+        }
+        out
     }
 }
 

@@ -4,11 +4,13 @@
 //! seeded edit series, compiling incrementally through a
 //! [`mini_driver::CompileSession`] must be **byte-identical** to a
 //! from-scratch `compile_sources` over the same sources after every edit:
-//! printed output trees, VM output, merged `ExecStats` and the checker
-//! verdict (success, or the identical `Err(Check)` finding list — the
-//! comparison covers both arms, though the standard pipeline produces no
-//! findings on well-typed corpora; finding *content* equality under
-//! parallel splicing is pinned at the executor level by
+//! printed output trees, the linked program instruction for instruction
+//! (the session links per-unit code cached across compiles; the one-shot
+//! driver generates every unit afresh), VM output, merged `ExecStats` and
+//! the checker verdict (success, or the identical `Err(Check)` finding
+//! list — the comparison covers both arms, though the standard pipeline
+//! produces no findings on well-typed corpora; finding *content* equality
+//! under parallel splicing is pinned at the executor level by
 //! `tests/parallel_determinism.rs`) all match, across fused/mega ×
 //! jobs ∈ {1, 4} × subtree pruning × the dynamic checker. Scheduling,
 //! caching and splicing may change wall clock and allocation layout —
@@ -33,6 +35,8 @@ use std::collections::BTreeMap;
 enum Observed {
     Ok {
         printed: Vec<String>,
+        /// [`mini_backend::Program::canonical_dump`] of the linked program.
+        program: String,
         vm_out: Vec<String>,
         exec: miniphases::miniphase::ExecStats,
     },
@@ -63,6 +67,7 @@ fn observe(result: Result<Compiled, miniphases::mini_driver::CompileError>) -> O
     vm.run_main().expect("program runs");
     Observed::Ok {
         printed,
+        program: c.program.canonical_dump(),
         vm_out: vm.out.clone(),
         exec: c.exec,
     }
