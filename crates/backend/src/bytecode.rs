@@ -88,7 +88,8 @@ pub enum Cmp {
 /// ([`crate::codegen::fuse`]) over the hottest decoded pairs, and
 /// [`Insn::CallVirtualIC`] is the inline-cache rewrite of `CallVirtual`
 /// that the fast VM mode applies per call site. Both rewrites are applied
-/// to a *prepared copy* of the code at VM construction; [`Function::code`]
+/// to a *prepared copy* of a function's code on its first call in a fast
+/// VM; [`Function::code`]
 /// as stored in the [`Program`] stays plain so one linked program serves
 /// fast and reference execution alike.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -531,3 +531,280 @@ fn fuse_respects_jump_and_handler_barriers() {
         }]
     );
 }
+
+/// Runs `p`'s `main` in both modes under `max_frames` and asserts they agree
+/// on the rendered outcome and the output; returns those and the peak frame
+/// depth of each mode (fast first). The peaks can differ on a call that
+/// traps: the reference counts the callee's frame before checking it.
+fn run_both_modes(p: &Program, max_frames: u32) -> (String, Vec<String>, [u64; 2]) {
+    let mut runs = Vec::new();
+    let mut peaks = [0; 2];
+    for (i, base) in [VmOptions::fast(), VmOptions::reference()]
+        .into_iter()
+        .enumerate()
+    {
+        let mut vm = Vm::with_options(p, VmOptions { max_frames, ..base });
+        let outcome = match vm.run_main() {
+            Ok(v) => format!("ok: {v}"),
+            Err(e) => format!("err: {e}"),
+        };
+        runs.push((outcome, vm.out));
+        peaks[i] = vm.stats.peak_frames;
+    }
+    assert_eq!(runs[0], runs[1], "fast and reference runs diverged");
+    let (outcome, out) = runs.swap_remove(0);
+    (outcome, out, peaks)
+}
+
+#[test]
+fn neg_wraps_on_the_minimum_int_in_both_modes() {
+    // -i64::MIN overflows; like every other arithmetic arm it wraps, so a
+    // debug build prints what a release build prints instead of panicking.
+    let p = prog(
+        vec![],
+        vec![fun(
+            "main",
+            0,
+            0,
+            vec![
+                Insn::ConstInt(i64::MIN),
+                Insn::Neg,
+                Insn::Println,
+                Insn::Pop,
+                Insn::ConstInt(5),
+                Insn::Neg,
+                Insn::Ret,
+            ],
+        )],
+        Some(0),
+        vec![],
+    );
+    let (outcome, out, _) = run_both_modes(&p, crate::vm::DEFAULT_MAX_FRAMES);
+    assert_eq!(outcome, "ok: -5");
+    assert_eq!(out, vec!["-9223372036854775808".to_string()]);
+}
+
+#[test]
+fn caller_two_frames_up_catches_with_its_frame_window_intact() {
+    // main -> mid -> thrower; thrower throws with operands of its own and
+    // mid's pending, and main's handler catches. Afterwards main's locals
+    // must hold what it stored, and an operand it pushes in the handler
+    // must survive a further call whose window reuses the unwound frames'
+    // stack space (and whose padding locals start out as Unit).
+    let (main_id, mid_id, thrower_id, leaf_id) = (0, 1, 2, 3);
+    let mut main = fun(
+        "main",
+        0,
+        3,
+        vec![
+            Insn::ConstInt(7),
+            Insn::Store(0),
+            Insn::ConstInt(11),
+            Insn::Store(1),
+            Insn::ConstInt(5),            // 4: try {
+            Insn::CallStatic(mid_id, 1),  // 5:   mid(5)
+            Insn::Ret,                    // 6: }
+            Insn::Store(2),               // 7: catch (e) { l2 = e
+            Insn::ConstInt(1000),         // 8: pending operand
+            Insn::ConstInt(3),            //
+            Insn::CallStatic(leaf_id, 1), //    leaf(3) = 9
+            Insn::Add,                    //    1000 + 9
+            Insn::Load(0),                //
+            Insn::Add,                    //    + l0
+            Insn::Load(1),                //
+            Insn::Add,                    //    + l1
+            Insn::Load(2),                //
+            Insn::Println,                //    println(e)
+            Insn::Pop,                    //
+            Insn::Ret,                    // }
+        ],
+    );
+    main.handlers.push(Handler {
+        start: 4,
+        end: 6,
+        target: 7,
+    });
+    let mid = fun(
+        "mid",
+        1,
+        2,
+        vec![
+            Insn::Load(0),
+            Insn::Store(1),
+            Insn::ConstInt(40),
+            Insn::Load(1),
+            Insn::CallStatic(thrower_id, 1),
+            Insn::Add,
+            Insn::Ret,
+        ],
+    );
+    let thrower = fun(
+        "thrower",
+        1,
+        3,
+        vec![
+            Insn::ConstInt(9),
+            Insn::Store(2),
+            Insn::Load(0),
+            Insn::Load(2),
+            Insn::Add,
+            Insn::ConstStr(Name::intern("boom")),
+            Insn::Throw,
+        ],
+    );
+    let leaf = fun(
+        "leaf",
+        1,
+        3,
+        vec![
+            Insn::Load(2),
+            Insn::IsInstance(TypeTest::Unit),
+            Insn::Println,
+            Insn::Pop,
+            Insn::Load(0),
+            Insn::Store(1),
+            Insn::Load(1),
+            Insn::ConstInt(2),
+            Insn::Mul,
+            Insn::Store(2),
+            Insn::Load(2),
+            Insn::Load(0),
+            Insn::Add,
+            Insn::Ret,
+        ],
+    );
+    let p = prog(
+        vec![],
+        vec![main, mid, thrower, leaf],
+        Some(main_id),
+        vec![],
+    );
+    let (outcome, out, peaks) = run_both_modes(&p, crate::vm::DEFAULT_MAX_FRAMES);
+    assert_eq!(outcome, "ok: 1027");
+    assert_eq!(out, vec!["true".to_string(), "boom".to_string()]);
+    assert_eq!(peaks, [3, 3]);
+}
+
+#[test]
+fn call_traps_keep_their_text_in_both_modes() {
+    // `mid` makes the faulting call one frame down, so each trap names the
+    // callee (arity, abstract) from inside a running frame.
+    let trap_of = |callee: Function, argc: u16| {
+        let main = fun("main", 0, 0, vec![Insn::CallStatic(1, 0), Insn::Ret]);
+        let mut code: Vec<Insn> = (0..argc).map(|i| Insn::ConstInt(i as i64)).collect();
+        code.extend([Insn::CallStatic(2, argc), Insn::Ret]);
+        let mid = fun("mid", 0, 1, code);
+        let p = prog(vec![], vec![main, mid, callee], Some(0), vec![]);
+        run_both_modes(&p, crate::vm::DEFAULT_MAX_FRAMES).0
+    };
+    assert_eq!(
+        trap_of(fun("two", 2, 2, vec![Insn::Load(0), Insn::Ret]), 1),
+        "err: vm trap: arity mismatch calling `two`: expected 2, got 1"
+    );
+    assert_eq!(
+        trap_of(fun("A.abs", 1, 1, vec![]), 1),
+        "err: vm trap: call to abstract method `A.abs`"
+    );
+
+    // The entry call checks the same way.
+    let p = prog(
+        vec![],
+        vec![fun("one", 1, 3, vec![Insn::Load(0), Insn::Ret])],
+        Some(0),
+        vec![],
+    );
+    for opts in [VmOptions::fast(), VmOptions::reference()] {
+        let mut vm = Vm::with_options(&p, opts);
+        match vm.call(0, vec![]) {
+            Err(e) => assert_eq!(
+                e.to_string(),
+                "vm trap: arity mismatch calling `one`: expected 1, got 0"
+            ),
+            other => panic!("expected arity trap, got {other:?}"),
+        }
+        assert!(matches!(vm.call(0, vec![Value::Int(4)]), Ok(Value::Int(4))));
+    }
+}
+
+#[test]
+fn fast_call_underflow_counts_only_the_callers_operands() {
+    // `f` has two locals below one operand when it calls `two` with two
+    // arguments: the locals are not operands, so the call traps, naming
+    // the caller. (The frozen reference interpreter has no call-time
+    // underflow check; codegen never emits such code.)
+    let main = fun("main", 0, 0, vec![Insn::CallStatic(1, 0), Insn::Ret]);
+    let f = fun(
+        "f",
+        0,
+        2,
+        vec![Insn::ConstInt(1), Insn::CallStatic(2, 2), Insn::Ret],
+    );
+    let two = fun("two", 2, 2, vec![Insn::Load(0), Insn::Ret]);
+    let p = prog(vec![], vec![main, f, two], Some(0), vec![]);
+    let mut vm = Vm::new(&p);
+    match vm.run_main() {
+        Err(e) => assert_eq!(e.to_string(), "vm trap: stack underflow in `f`"),
+        other => panic!("expected underflow trap, got {other:?}"),
+    }
+    // The VM stays usable after a trap.
+    assert!(matches!(
+        vm.call(2, vec![Value::Int(8), Value::Unit]),
+        Ok(Value::Int(8))
+    ));
+}
+
+#[test]
+fn recursion_near_the_frame_budget_keeps_each_window() {
+    // rec(n) = if n <= 0 then 0 else l1 + rec(l2) + l2 with l1 = 10n and
+    // l2 = n - 1 stored in locals beyond the parameter; l1 waits on the
+    // operand stack across the recursive call and l2 is re-read after it.
+    let rec = fun(
+        "rec",
+        1,
+        3,
+        vec![
+            Insn::Load(0),          // 0
+            Insn::ConstInt(0),      // 1
+            Insn::CmpLe,            // 2
+            Insn::JumpIfFalse(6),   // 3
+            Insn::ConstInt(0),      // 4
+            Insn::Ret,              // 5
+            Insn::Load(0),          // 6
+            Insn::ConstInt(10),     // 7
+            Insn::Mul,              // 8
+            Insn::Store(1),         // 9
+            Insn::Load(0),          // 10
+            Insn::ConstInt(1),      // 11
+            Insn::Sub,              // 12
+            Insn::Store(2),         // 13
+            Insn::Load(1),          // 14
+            Insn::Load(2),          // 15
+            Insn::CallStatic(0, 1), // 16
+            Insn::Add,              // 17
+            Insn::Load(2),          // 18
+            Insn::Add,              // 19
+            Insn::Ret,              // 20
+        ],
+    );
+    let budget = 64u32;
+    let with_main = |n: i64| {
+        let main = fun(
+            "main",
+            0,
+            1,
+            vec![Insn::ConstInt(n), Insn::CallStatic(0, 1), Insn::Ret],
+        );
+        prog(vec![], vec![rec.clone(), main], Some(1), vec![])
+    };
+    // main plus rec(n)..rec(0) is n + 2 frames: the deepest run that fits.
+    let n = budget as i64 - 2;
+    let expected = (1..=n).map(|k| 11 * k - 1).sum::<i64>();
+    let (outcome, _, peaks) = run_both_modes(&with_main(n), budget);
+    assert_eq!(outcome, format!("ok: {expected}"));
+    assert_eq!(peaks, [budget as u64; 2]);
+
+    // One level deeper traps at the budget, identically in both modes.
+    let (outcome, _, peaks) = run_both_modes(&with_main(n + 1), budget);
+    assert_eq!(outcome, "err: vm trap: max call depth 64 exceeded");
+    assert_eq!(peaks, [budget as u64; 2]);
+}

@@ -21,9 +21,9 @@
 //!      [`MethodSlot`] ids and dispatch indexes the dense
 //!      [`VmClass::vtable_slots`] / [`VmClass::field_slots`] tables built
 //!      by [`Program::link`] — an array load instead of a hash probe.
-//!   2. *Monomorphic inline caches*: at VM construction every
-//!      `CallVirtual` in the prepared code is rewritten to `CallVirtualIC`
-//!      with a per-site cache entry (`ClassId → FnId`, hit/miss counted in
+//!   2. *Monomorphic inline caches*: when a function is prepared, every
+//!      `CallVirtual` in its code is rewritten to `CallVirtualIC` with a
+//!      per-site cache entry (`ClassId → FnId`, hit/miss counted in
 //!      [`VmStats`]). Monomorphic sites skip even the dense-table load
 //!      after the first call.
 //!   3. *Superinstructions*: the peephole pass [`crate::codegen::fuse`]
@@ -38,9 +38,19 @@
 //!      is unobservable.
 //!
 //!   Frames live on an explicit frame stack (mirroring the middle end's
-//!   iterative tree walk): one shared locals arena and one shared operand
-//!   stack with per-frame base offsets, so calls reuse storage instead of
-//!   allocating two vectors each.
+//!   iterative tree walk) over **one value stack**, as on the JVM: a
+//!   frame is a window of it. A call's arguments are already on top of
+//!   the caller's operands, so the callee's frame base is `len - argc`;
+//!   the window is padded with `Value::Unit` up to the callee's
+//!   `n_locals`, and its operands sit above `base + n_locals`. No value
+//!   moves on a call; `Ret` and unwinding truncate to the frame base, and
+//!   a handler truncates to `base + n_locals`. Frames borrow their code
+//!   from the VM's table, so a call clones no `Rc`.
+//!
+//!   Each function is *prepared on its first call*: fused and given its
+//!   own numbered inline-cache sites, then kept for the life of the
+//!   [`Vm`]. [`Vm::new`] only allocates the empty table, so a run pays
+//!   for the functions it enters, not for the whole program.
 //!
 //! Each interpreter implements only the opcodes its prepared code can
 //! contain; an opcode a mode never sees (a superinstruction or
@@ -54,10 +64,11 @@
 //! structured [`VmError::Trap`] at the same guest depth instead of a host
 //! stack overflow. Rewrites (fusion, IC) apply to a *prepared copy* of
 //! the code held by the VM; the [`Program`] itself is never mutated, so
-//! one linked program serves both sides of an A/B run.
+//! one linked program serves both sides of an A/B run. The reference
+//! interpreter reads the program's code directly.
 
 use crate::bytecode::*;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
@@ -247,22 +258,47 @@ const IC_EMPTY: IcEntry = IcEntry {
     target: 0,
 };
 
-/// Per-function executable code as prepared at VM construction: a plain
-/// copy in reference mode, fused and IC-rewritten in fast mode.
+/// One function's code as fast mode runs it: fused, with every
+/// `CallVirtual` rewritten to a `CallVirtualIC` that indexes the
+/// function's own inline-cache entries. Built on the function's first call.
 struct FnCode {
-    name: String,
+    /// The function this is prepared from; trap messages read its name.
+    fid: FnId,
     n_params: u16,
     n_locals: u16,
     code: Vec<Insn>,
     handlers: Vec<Handler>,
+    ics: Box<[Cell<IcEntry>]>,
 }
 
-/// A suspended caller in the flat-frame interpreter.
-struct Frame {
-    code: Rc<FnCode>,
+impl FnCode {
+    fn prepare(program: &Program, fid: FnId) -> FnCode {
+        let f = &program.functions[fid as usize];
+        let (mut code, handlers) = crate::codegen::fuse(&f.code, &f.handlers);
+        let mut sites = 0;
+        for i in &mut code {
+            if let Insn::CallVirtual(slot, argc) = *i {
+                *i = Insn::CallVirtualIC(slot, argc, sites);
+                sites += 1;
+            }
+        }
+        FnCode {
+            fid,
+            n_params: f.n_params,
+            n_locals: f.n_locals,
+            code,
+            handlers,
+            ics: vec![Cell::new(IC_EMPTY); sites as usize].into(),
+        }
+    }
+}
+
+/// A suspended caller in the flat-frame interpreter: its code, resume pc
+/// and frame base on the value stack.
+struct Frame<'c> {
+    code: &'c FnCode,
     pc: usize,
     base: usize,
-    stack_base: usize,
 }
 
 /// The virtual machine.
@@ -280,8 +316,9 @@ pub struct Vm<'p> {
     /// Execution counters (instructions retired, IC hits, peak frames).
     pub stats: VmStats,
     opts: VmOptions,
-    code_tab: Vec<Rc<FnCode>>,
-    ics: Vec<Cell<IcEntry>>,
+    /// Fast mode's prepared code, one cell per function, each filled on
+    /// the function's first call (empty in reference mode).
+    code_tab: Vec<OnceCell<FnCode>>,
     depth: u32,
 }
 
@@ -304,33 +341,11 @@ impl<'p> Vm<'p> {
                 "VmMode::Fast requires a linked Program (call Program::link)"
             );
         }
-        let mut ics = Vec::new();
-        let code_tab = program
-            .functions
-            .iter()
-            .map(|f| {
-                let (code, handlers) = if fast {
-                    let (mut code, handlers) = crate::codegen::fuse(&f.code, &f.handlers);
-                    for i in &mut code {
-                        if let Insn::CallVirtual(slot, argc) = *i {
-                            let site = ics.len() as u32;
-                            ics.push(Cell::new(IC_EMPTY));
-                            *i = Insn::CallVirtualIC(slot, argc, site);
-                        }
-                    }
-                    (code, handlers)
-                } else {
-                    (f.code.clone(), f.handlers.clone())
-                };
-                Rc::new(FnCode {
-                    name: f.name.clone(),
-                    n_params: f.n_params,
-                    n_locals: f.n_locals,
-                    code,
-                    handlers,
-                })
-            })
-            .collect();
+        let code_tab = if fast {
+            program.functions.iter().map(|_| OnceCell::new()).collect()
+        } else {
+            Vec::new()
+        };
         Vm {
             program,
             out: Vec::new(),
@@ -338,7 +353,6 @@ impl<'p> Vm<'p> {
             stats: VmStats::default(),
             opts,
             code_tab,
-            ics,
             depth: 0,
         }
     }
@@ -479,7 +493,8 @@ impl<'p> Vm<'p> {
     }
 
     fn invoke_inner(&mut self, fid: FnId, args: Vec<Value>) -> Result<Flow, VmError> {
-        let f = self.code_tab[fid as usize].clone();
+        let program = self.program;
+        let f = &program.functions[fid as usize];
         if f.code.is_empty() {
             return Err(VmError::Trap(format!(
                 "call to abstract method `{}`",
@@ -746,7 +761,7 @@ impl<'p> Vm<'p> {
                 }
                 Insn::Neg => {
                     let a = pop!().int()?;
-                    stack.push(Value::Int(-a));
+                    stack.push(Value::Int(a.wrapping_neg()));
                 }
                 Insn::Not => {
                     let a = pop!().truthy()?;
@@ -872,50 +887,86 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// Fast mode's code for `fid`, prepared on its first call. It borrows
+    /// only the table, not the whole `Vm`, so the interpreter can hold the
+    /// returned code while it updates the VM's counters and output.
+    #[inline]
+    fn prepared<'c>(tab: &'c [OnceCell<FnCode>], program: &Program, fid: FnId) -> &'c FnCode {
+        tab[fid as usize].get_or_init(|| FnCode::prepare(program, fid))
+    }
+
+    #[cold]
+    fn abstract_trap(name: &str) -> VmError {
+        VmError::Trap(format!("call to abstract method `{name}`"))
+    }
+
+    #[cold]
+    fn arity_trap(name: &str, expected: u16, got: usize) -> VmError {
+        VmError::Trap(format!(
+            "arity mismatch calling `{name}`: expected {expected}, got {got}"
+        ))
+    }
+
+    #[cold]
+    fn underflow_trap(name: &str) -> VmError {
+        VmError::Trap(format!("stack underflow in `{name}`"))
+    }
+
     /// The non-recursive interpreter: an explicit frame stack over one
-    /// shared locals arena and one shared operand stack (per-frame base
-    /// offsets), so guest calls reuse storage instead of allocating, and
-    /// guest recursion depth is bounded by `max_frames`, not the host
-    /// stack.
+    /// value stack. Each frame is a window of it: locals at
+    /// `base..base + n_locals` (the arguments the caller pushed, padded
+    /// with `Value::Unit`), operands above. Guest calls therefore move no
+    /// value, frames borrow their code from the prepared table (each
+    /// function is prepared on its first call), and guest recursion depth
+    /// is bounded by `max_frames`, not the host stack.
     fn run_flat(&mut self, fid: FnId, args: Vec<Value>) -> Result<Value, VmError> {
         if self.opts.max_frames == 0 {
             return Err(Self::depth_trap(0));
         }
-        let mut cur = self.code_tab[fid as usize].clone();
+        let program = self.program;
+        let fn_name = |code: &FnCode| program.functions[code.fid as usize].name.as_str();
+        let tab = &self.code_tab;
+        let mut cur = Self::prepared(tab, program, fid);
         if cur.code.is_empty() {
-            return Err(VmError::Trap(format!(
-                "call to abstract method `{}`",
-                cur.name
-            )));
+            return Err(Self::abstract_trap(fn_name(cur)));
         }
         if args.len() != cur.n_params as usize {
-            return Err(VmError::Trap(format!(
-                "arity mismatch calling `{}`: expected {}, got {}",
-                cur.name,
-                cur.n_params,
-                args.len()
-            )));
+            return Err(Self::arity_trap(fn_name(cur), cur.n_params, args.len()));
         }
-        let mut arena: Vec<Value> = Vec::with_capacity(256);
-        arena.resize(cur.n_locals as usize, Value::Unit);
-        for (i, v) in args.into_iter().enumerate() {
-            arena[i] = v;
-        }
-        let mut stack: Vec<Value> = Vec::with_capacity(64);
+        let mut stack: Vec<Value> = args;
+        stack.reserve(256);
+        stack.resize(cur.n_locals as usize, Value::Unit);
         let mut frames: Vec<Frame> = Vec::with_capacity(16);
         let mut pc: usize = 0;
+        // The current frame's window: locals from `base`, operands from
+        // `sbase` = `base + cur.n_locals`.
         let mut base: usize = 0;
-        let mut stack_base: usize = 0;
+        let mut sbase: usize = cur.n_locals as usize;
         self.stats.peak_frames = self.stats.peak_frames.max(1);
 
         macro_rules! pop {
             () => {{
                 // Codegen's stack discipline keeps every pop above the
-                // frame's stack_base; checked in debug builds only so the
-                // release hot loop pays no extra branch per pop.
-                debug_assert!(stack.len() > stack_base, "underflow in `{}`", cur.name);
+                // frame's operand base; checked in debug builds only so
+                // the release hot loop pays no extra branch per pop.
+                debug_assert!(stack.len() > sbase, "underflow in `{}`", fn_name(cur));
                 stack.pop().expect("operand stack underflow")
             }};
+        }
+        // Leave the current frame, whose window is already truncated, for
+        // its caller; evaluates `$top` when it is the outermost frame.
+        macro_rules! resume_caller {
+            ($top:expr) => {
+                match frames.pop() {
+                    None => $top,
+                    Some(fr) => {
+                        cur = fr.code;
+                        pc = fr.pc;
+                        base = fr.base;
+                        sbase = base + cur.n_locals as usize;
+                    }
+                }
+            };
         }
         macro_rules! throw {
             ($val:expr) => {{
@@ -923,29 +974,21 @@ impl<'p> Vm<'p> {
                 // `pc` was already advanced past the faulting instruction;
                 // when unwinding into a caller, its saved pc points past
                 // the call, so `pc - 1` is the call site there too.
-                let mut at = pc - 1;
-                'unwind: loop {
-                    for h in &cur.handlers {
-                        if (h.start as usize) <= at && at < (h.end as usize) {
-                            stack.truncate(stack_base);
-                            stack.push(exc.clone());
-                            pc = h.target as usize;
-                            break 'unwind;
-                        }
+                loop {
+                    let at = pc - 1;
+                    if let Some(h) = cur
+                        .handlers
+                        .iter()
+                        .find(|h| (h.start as usize) <= at && at < (h.end as usize))
+                    {
+                        stack.truncate(sbase);
+                        pc = h.target as usize;
+                        break;
                     }
-                    stack.truncate(stack_base);
-                    arena.truncate(base);
-                    match frames.pop() {
-                        None => return Err(VmError::Uncaught(exc)),
-                        Some(fr) => {
-                            cur = fr.code;
-                            pc = fr.pc;
-                            base = fr.base;
-                            stack_base = fr.stack_base;
-                            at = pc - 1;
-                        }
-                    }
+                    stack.truncate(base);
+                    resume_caller!(return Err(VmError::Uncaught(exc)));
                 }
+                stack.push(exc);
                 continue;
             }};
         }
@@ -985,8 +1028,8 @@ impl<'p> Vm<'p> {
                 }
             }};
         }
-        // Push a frame: move the top `argc` operands into a fresh arena
-        // region and continue the loop inside the callee.
+        // Push a frame whose window starts at the callee's arguments, pad
+        // it to the callee's locals and continue the loop in the callee.
         macro_rules! do_call {
             ($g:expr, $argc:expr) => {{
                 let g: FnId = $g;
@@ -994,35 +1037,26 @@ impl<'p> Vm<'p> {
                 if frames.len() as u32 + 1 >= self.opts.max_frames {
                     return Err(Self::depth_trap(self.opts.max_frames));
                 }
-                let callee = self.code_tab[g as usize].clone();
+                let callee = Self::prepared(tab, program, g);
                 if callee.code.is_empty() {
-                    return Err(VmError::Trap(format!(
-                        "call to abstract method `{}`",
-                        callee.name
-                    )));
+                    return Err(Self::abstract_trap(fn_name(callee)));
                 }
                 if argc != callee.n_params as usize {
-                    return Err(VmError::Trap(format!(
-                        "arity mismatch calling `{}`: expected {}, got {}",
-                        callee.name, callee.n_params, argc
-                    )));
+                    return Err(Self::arity_trap(fn_name(callee), callee.n_params, argc));
                 }
-                if stack.len() < stack_base + argc {
-                    return Err(VmError::Trap(format!("stack underflow in `{}`", cur.name)));
+                if stack.len() < sbase + argc {
+                    return Err(Self::underflow_trap(fn_name(cur)));
                 }
-                let nbase = arena.len();
-                let split = stack.len() - argc;
-                arena.extend(stack.drain(split..));
-                arena.resize(nbase + callee.n_locals as usize, Value::Unit);
+                let nbase = stack.len() - argc;
+                sbase = nbase + callee.n_locals as usize;
+                stack.resize(sbase, Value::Unit);
                 frames.push(Frame {
                     code: std::mem::replace(&mut cur, callee),
                     pc,
                     base,
-                    stack_base,
                 });
                 pc = 0;
                 base = nbase;
-                stack_base = stack.len();
                 self.stats.peak_frames = self.stats.peak_frames.max(frames.len() as u64 + 1);
             }};
         }
@@ -1035,7 +1069,7 @@ impl<'p> Vm<'p> {
             let insn = *cur
                 .code
                 .get(pc)
-                .ok_or_else(|| VmError::Trap(format!("pc out of range in `{}`", cur.name)))?;
+                .ok_or_else(|| VmError::Trap(format!("pc out of range in `{}`", fn_name(cur))))?;
             pc += 1;
             match insn {
                 Insn::ConstInt(i) => stack.push(Value::Int(i)),
@@ -1043,10 +1077,10 @@ impl<'p> Vm<'p> {
                 Insn::ConstStr(s) => stack.push(Value::Str(Rc::from(s.as_str()))),
                 Insn::ConstUnit => stack.push(Value::Unit),
                 Insn::ConstNull => stack.push(Value::Null),
-                Insn::Load(s) => stack.push(arena[base + s as usize].clone()),
+                Insn::Load(s) => stack.push(stack[base + s as usize].clone()),
                 Insn::Store(s) => {
                     let v = pop!();
-                    arena[base + s as usize] = v;
+                    stack[base + s as usize] = v;
                 }
                 Insn::GetField(gid) => {
                     let recv = pop!();
@@ -1085,12 +1119,12 @@ impl<'p> Vm<'p> {
                     if argc == 0 {
                         return Err(VmError::Trap("virtual call without receiver".into()));
                     }
-                    if stack.len() < stack_base + argc {
-                        return Err(VmError::Trap(format!("stack underflow in `{}`", cur.name)));
+                    if stack.len() < sbase + argc {
+                        return Err(Self::underflow_trap(fn_name(cur)));
                     }
                     let target = match &stack[stack.len() - argc] {
                         Value::Obj(o) => {
-                            let entry = self.ics[site as usize].get();
+                            let entry = cur.ics[site as usize].get();
                             if entry.class == o.class {
                                 self.stats.ic_hits += 1;
                                 Some(entry.target)
@@ -1099,7 +1133,7 @@ impl<'p> Vm<'p> {
                                 self.stats.ic_misses += 1;
                                 let resolved = self.vtable_slot(class, slot);
                                 if let Some(g) = resolved {
-                                    self.ics[site as usize].set(IcEntry { class, target: g });
+                                    cur.ics[site as usize].set(IcEntry { class, target: g });
                                 }
                                 resolved
                             }
@@ -1118,8 +1152,8 @@ impl<'p> Vm<'p> {
                 }
                 Insn::CallDirect(cls, slot, argc) => {
                     let argc = argc as usize;
-                    if stack.len() < stack_base + argc {
-                        return Err(VmError::Trap(format!("stack underflow in `{}`", cur.name)));
+                    if stack.len() < sbase + argc {
+                        return Err(Self::underflow_trap(fn_name(cur)));
                     }
                     match self.vtable_slot(cls, slot) {
                         Some(g) => do_call!(g, argc),
@@ -1230,7 +1264,7 @@ impl<'p> Vm<'p> {
                 }
                 Insn::Neg => {
                     let a = pop!().int()?;
-                    stack.push(Value::Int(-a));
+                    stack.push(Value::Int(a.wrapping_neg()));
                 }
                 Insn::Not => {
                     let a = pop!().truthy()?;
@@ -1282,7 +1316,7 @@ impl<'p> Vm<'p> {
                     let _ = pop!();
                 }
                 Insn::Dup => {
-                    if stack.len() <= stack_base {
+                    if stack.len() <= sbase {
                         return Err(VmError::Trap("dup on empty stack".into()));
                     }
                     let v = stack.last().unwrap().clone();
@@ -1290,18 +1324,9 @@ impl<'p> Vm<'p> {
                 }
                 Insn::Ret => {
                     let v = pop!();
-                    stack.truncate(stack_base);
-                    arena.truncate(base);
-                    match frames.pop() {
-                        None => return Ok(v),
-                        Some(fr) => {
-                            cur = fr.code;
-                            pc = fr.pc;
-                            base = fr.base;
-                            stack_base = fr.stack_base;
-                            stack.push(v);
-                        }
-                    }
+                    stack.truncate(base);
+                    resume_caller!(return Ok(v));
+                    stack.push(v);
                 }
                 Insn::Throw => {
                     let v = pop!();
@@ -1356,13 +1381,13 @@ impl<'p> Vm<'p> {
                 }
                 Insn::LoadLoad(a, b) => {
                     self.stats.fused_retired += 1;
-                    stack.push(arena[base + a as usize].clone());
+                    stack.push(stack[base + a as usize].clone());
                     fuel2!();
-                    stack.push(arena[base + b as usize].clone());
+                    stack.push(stack[base + b as usize].clone());
                 }
                 Insn::LoadConst(a, k) => {
                     self.stats.fused_retired += 1;
-                    stack.push(arena[base + a as usize].clone());
+                    stack.push(stack[base + a as usize].clone());
                     fuel2!();
                     stack.push(Value::Int(k));
                 }
@@ -1377,11 +1402,11 @@ impl<'p> Vm<'p> {
                     let b = pop!().int()?;
                     let a = pop!().int()?;
                     fuel2!();
-                    arena[base + s as usize] = Value::Int(a.wrapping_add(b));
+                    stack[base + s as usize] = Value::Int(a.wrapping_add(b));
                 }
                 Insn::LoadCall(x, g, argc) => {
                     self.stats.fused_retired += 1;
-                    stack.push(arena[base + x as usize].clone());
+                    stack.push(stack[base + x as usize].clone());
                     fuel2!();
                     do_call!(g, argc as usize);
                 }

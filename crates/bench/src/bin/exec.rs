@@ -11,13 +11,13 @@
 //! drift by double-digit percentages.
 //!
 //! ```text
-//! cargo run --release -p bench --bin exec -- [SPEC_B] [SPEC_A] [REPS] [ITERS]
+//! cargo run --release -p bench --bin exec -- [SPEC_B] [SPEC_A] [REPS] [ITERS] [LABEL]
 //! ```
 //!
 //! A spec is `fast` (the production interpreter: slot-resolved dispatch
-//! tables, monomorphic inline caches, superinstructions, flat frame stack)
-//! or `ref` (the frozen reference interpreter: by-name `HashMap`
-//! dispatch, no caches, no fusion, host-recursive frames).
+//! tables, monomorphic inline caches, superinstructions, flat frames over
+//! one value stack) or `ref` (the frozen reference interpreter: by-name
+//! `HashMap` dispatch, no caches, no fusion, host-recursive frames).
 //!
 //! Every repetition's captured output and result are compared
 //! byte-for-byte against the first run — a paired perf harness that could
@@ -28,16 +28,27 @@
 //! 20% wall-clock reduction (ratio ≤ 0.80); the run exits non-zero
 //! otherwise. The quartile, not the median, is gated for the same reason
 //! as `ab`: a real regression shifts every rep, noise bursts only part of
-//! a smoke-sized run. Numbers are recorded in `BENCH_exec.json`.
+//! a smoke-sized run.
+//!
+//! When `EXEC_JSON` names a path, the run is recorded there as one entry
+//! of its `"runs"` array named `LABEL` (default `run`): both sides' minima
+//! and counters and the paired ratios, stamped with the date, the host
+//! (`nproc`, CPU model) and the command line. An earlier run of the same
+//! label is replaced; everything else in the file is kept (see
+//! `BENCH_exec.json`).
 
 use mini_backend::{Program, Vm, VmOptions, VmStats};
 use mini_driver::{compile_sources, CompilerOptions};
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: exec [SPEC_B] [SPEC_A] [REPS] [ITERS]\n\
+const USAGE: &str = "usage: exec [SPEC_B] [SPEC_A] [REPS] [ITERS] [LABEL]\n\
      SPEC    = fast|ref\n\
      REPS    = positive integer (default 9, env REPS)\n\
-     ITERS   = positive integer: corpus loop trip count (default 6000, env EXEC_ITERS)";
+     ITERS   = positive integer: corpus loop trip count (default 6000, env EXEC_ITERS)\n\
+     LABEL   = name of the EXEC_JSON record (default `run`)";
+
+/// The lines of a new `EXEC_JSON` file up to its `"runs"` array.
+const RECORD_HEAD: &str = "{\n  \"benchmark\": \"exec\",";
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}\n{USAGE}");
@@ -62,8 +73,9 @@ fn parse_spec(s: &str) -> Spec {
     }
 }
 
-/// One timed run: VM construction (code preparation is part of what an
-/// execution engine costs) plus `run_main`. Returns the wall time, the
+/// One timed run: VM construction plus `run_main` (fast mode prepares each
+/// function on its first call, so code preparation is inside the run, as
+/// it is part of what an execution engine costs). Returns the wall time, the
 /// observable outcome (result rendering + output stream), and the counters.
 fn run_once(program: &Program, spec: &Spec) -> (Duration, String, Vec<String>, VmStats) {
     let start = Instant::now();
@@ -79,8 +91,8 @@ fn run_once(program: &Program, spec: &Spec) -> (Duration, String, Vec<String>, V
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() > 4 {
-        usage_exit(&format!("unexpected extra argument `{}`", args[4]));
+    if args.len() > 5 {
+        usage_exit(&format!("unexpected extra argument `{}`", args[5]));
     }
     let spec_b = parse_spec(args.first().map(String::as_str).unwrap_or("fast"));
     let spec_a = parse_spec(args.get(1).map(String::as_str).unwrap_or("ref"));
@@ -105,6 +117,7 @@ fn main() {
             .or_else(|| std::env::var("EXEC_ITERS").ok()),
         6_000,
     );
+    let label = args.get(4).map_or("run", String::as_str);
 
     // Compile once, untimed: both sides execute the same linked program.
     let cfg = workload::ExecConfig {
@@ -196,6 +209,44 @@ fn main() {
     println!("output pinned: {} lines byte-identical across all runs", {
         pinned.as_ref().map(|(_, o)| o.len()).unwrap_or(0)
     });
+
+    if let Ok(path) = std::env::var("EXEC_JSON") {
+        let side = |spec: &Spec, secs: f64, s: &VmStats| {
+            format!(
+                "{{\"spec\": \"{}\", \"min_ms\": {:.2}, \"insns_retired\": {}, \
+                 \"fused_retired\": {}, \"ic_hits\": {}, \"ic_lookups\": {}, \"peak_frames\": {}}}",
+                spec.label,
+                secs * 1e3,
+                s.insns_retired,
+                s.fused_retired,
+                s.ic_hits,
+                s.ic_hits + s.ic_misses,
+                s.peak_frames
+            )
+        };
+        let run = format!(
+            "{{\"label\": \"{}\", \"date\": \"{}\", \"host\": {}, \"command\": \"{}\", \
+             \"reps\": {reps}, \"units\": {}, \"iters\": {iters}, \"code_insns\": {}, \
+             \"b\": {}, \"a\": {}, \"min_ratio\": {:.3}, \"median_paired_ratio\": {median:.3}, \
+             \"lower_quartile_paired_ratio\": {quartile:.3}}}",
+            bench::json_escape(label),
+            bench::utc_date(),
+            bench::host_json(),
+            bench::json_escape(&bench::command_line()),
+            cfg.units,
+            program.code_size(),
+            side(&spec_b, b, &stats_b),
+            side(&spec_a, a, &stats_a),
+            b / a,
+        );
+        let previous = std::fs::read_to_string(&path).unwrap_or_default();
+        std::fs::write(
+            &path,
+            bench::record_run(&previous, RECORD_HEAD, label, &run),
+        )
+        .expect("write EXEC_JSON");
+        println!("recorded run `{label}` in {path}");
+    }
 
     // The headline gate: the full fast configuration must beat the
     // reference interpreter by >= 20% wall clock on the call-heavy corpus.

@@ -213,35 +213,18 @@ fn main() {
             ms(sig)
         );
         let previous = std::fs::read_to_string(&path).unwrap_or_default();
-        std::fs::write(&path, record_run(&previous, label, &run)).expect("write INCR_JSON");
+        std::fs::write(
+            &path,
+            bench::record_run(&previous, RECORD_HEAD, label, &run),
+        )
+        .expect("write INCR_JSON");
         println!("recorded run `{label}` in {path}");
     }
 }
 
+/// The lines of a new record file up to its `"runs"` array.
 const RECORD_HEAD: &str =
     "{\n  \"benchmark\": \"incremental\",\n  \"note\": \"CompileSession medians over \
     the linked corpus (fused pipeline, jobs=1): cold = full compile from empty caches; warm body \
     edit recompiles exactly 1 unit; warm signature edit recompiles the edited unit plus its \
-    transitive dependents\",\n  \"runs\": [\n";
-const RECORD_TAIL: &str = "  ]\n}\n";
-
-/// The record file with `run` (one JSON object, labelled `label`) added to
-/// the runs already in `previous`, replacing an earlier run of the same
-/// label. Each run sits on a line of its own; content this binary did not
-/// write is discarded.
-fn record_run(previous: &str, label: &str, run: &str) -> String {
-    let same_label = format!("{{\"label\": \"{}\",", bench::json_escape(label));
-    let mut runs: Vec<&str> = previous
-        .strip_prefix(RECORD_HEAD)
-        .and_then(|rest| rest.strip_suffix(RECORD_TAIL))
-        .map(|body| {
-            body.lines()
-                .map(|l| l.trim().trim_end_matches(','))
-                .filter(|l| !l.is_empty() && !l.starts_with(&same_label))
-                .collect()
-        })
-        .unwrap_or_default();
-    runs.push(run);
-    let body: Vec<String> = runs.iter().map(|r| format!("    {r}")).collect();
-    format!("{RECORD_HEAD}{}\n{RECORD_TAIL}", body.join(",\n"))
-}
+    transitive dependents\",";

@@ -159,6 +159,43 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// The line that opens a record file's `"runs"` array; the array closes at
+/// the next line that is exactly `  ]`.
+const RUNS_OPEN: &str = "  \"runs\": [";
+const RUNS_CLOSE: &str = "  ]";
+
+/// A JSON record file with `run` (one JSON object, written on one line,
+/// labelled `label`) added to the runs already in `previous`, replacing an
+/// earlier run of the same label. Every line outside the `"runs"` array is
+/// kept as it is. When `previous` has no such array (a new file), the
+/// result is `head` (the lines up to the array, without a trailing newline)
+/// followed by the array and the closing `}`.
+pub fn record_run(previous: &str, head: &str, label: &str, run: &str) -> String {
+    let (before, mut runs, after): (Vec<&str>, Vec<&str>, Vec<&str>) =
+        if previous.lines().any(|l| l == RUNS_OPEN) {
+            let mut lines = previous.lines();
+            let before = lines.by_ref().take_while(|l| *l != RUNS_OPEN).collect();
+            let runs = lines.by_ref().take_while(|l| *l != RUNS_CLOSE).collect();
+            (before, runs, lines.collect())
+        } else {
+            (head.lines().collect(), Vec::new(), vec!["}"])
+        };
+    let same_label = format!("{{\"label\": \"{}\",", json_escape(label));
+    runs = runs
+        .into_iter()
+        .map(|r| r.trim().trim_end_matches(','))
+        .filter(|r| !r.is_empty() && !r.starts_with(&same_label))
+        .chain(std::iter::once(run))
+        .collect();
+    let runs: Vec<String> = runs.iter().map(|r| format!("    {r}")).collect();
+    let mut out: Vec<String> = before.iter().map(|l| l.to_string()).collect();
+    out.push(RUNS_OPEN.to_string());
+    out.push(runs.join(",\n"));
+    out.push(RUNS_CLOSE.to_string());
+    out.extend(after.iter().map(|l| l.to_string()));
+    out.join("\n") + "\n"
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,5 +207,30 @@ mod tests {
         assert!(date.as_bytes()[4] == b'-' && date.as_bytes()[7] == b'-');
         assert!(host_json().starts_with("{\"nproc\": "));
         assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+    }
+
+    #[test]
+    fn record_run_keeps_the_rest_of_the_file_and_replaces_a_label() {
+        let head = "{\n  \"benchmark\": \"x\",";
+        let one = record_run("", head, "a", "{\"label\": \"a\", \"v\": 1}");
+        assert_eq!(
+            one,
+            "{\n  \"benchmark\": \"x\",\n  \"runs\": [\n    {\"label\": \"a\", \"v\": 1}\n  ]\n}\n"
+        );
+        let two = record_run(&one, head, "b", "{\"label\": \"b\", \"v\": 2}");
+        assert!(two.contains("\"v\": 1},\n    {\"label\": \"b\""), "{two}");
+        // A re-recorded label replaces its run; lines outside the array,
+        // here a hand-written block before it, are kept.
+        let edited = two.replace("\"x\",\n", "\"x\",\n  \"history\": {\"kept\": true},\n");
+        let three = record_run(&edited, head, "a", "{\"label\": \"a\", \"v\": 3}");
+        assert_eq!(
+            three,
+            "{\n  \"benchmark\": \"x\",\n  \"history\": {\"kept\": true},\n  \"runs\": [\n    \
+             {\"label\": \"b\", \"v\": 2},\n    {\"label\": \"a\", \"v\": 3}\n  ]\n}\n"
+        );
+        assert_eq!(
+            record_run(&three, head, "a", "{\"label\": \"a\", \"v\": 3}"),
+            three
+        );
     }
 }

@@ -174,6 +174,23 @@ fn explicit_small_budget_traps_identically_in_both_modes() {
     assert_eq!(outcomes[0], outcomes[1]);
 }
 
+#[test]
+fn negating_the_minimum_int_wraps_in_both_modes() {
+    // -(i64::MIN) overflows; the VM wraps it like every other arithmetic
+    // arm, so a debug build prints what a release build prints.
+    let src = "def main(): Unit = {\n\
+               val m: Int = 0 - 9223372036854775807 - 1\n\
+               println(-m)\n\
+               }\n";
+    let program = compile_sources(&[("neg.ms", src)], &CompilerOptions::fused())
+        .expect("compiles")
+        .program;
+    assert_equivalent(&program, u64::MAX, "neg");
+    let (outcome, out, _) = run(&program, VmOptions::fast(), u64::MAX);
+    assert!(outcome.starts_with("ok"), "{outcome}");
+    assert_eq!(out, vec!["-9223372036854775808".to_string()]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
