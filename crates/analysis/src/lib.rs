@@ -25,7 +25,7 @@
 //!    the 33 node kinds, sparse enough that pruning pays on real corpora.
 //! 3. **Every executor, one implementation** — the same phase objects run
 //!    under the fused walk, the megaphase loop, the recursive reference
-//!    executor and the parallel chunk scheduler, and the equivalence
+//!    executor and the parallel per-unit scheduler, and the equivalence
 //!    property tests pin all of them against the standalone walker
 //!    ([`lint_unit`]) byte-for-byte.
 //!

@@ -534,8 +534,7 @@ fn fuse_respects_jump_and_handler_barriers() {
 
 /// Runs `p`'s `main` in both modes under `max_frames` and asserts they agree
 /// on the rendered outcome and the output; returns those and the peak frame
-/// depth of each mode (fast first). The peaks can differ on a call that
-/// traps: the reference counts the callee's frame before checking it.
+/// depth of each mode (fast first).
 fn run_both_modes(p: &Program, max_frames: u32) -> (String, Vec<String>, [u64; 2]) {
     let mut runs = Vec::new();
     let mut peaks = [0; 2];
@@ -695,7 +694,10 @@ fn call_traps_keep_their_text_in_both_modes() {
         code.extend([Insn::CallStatic(2, argc), Insn::Ret]);
         let mid = fun("mid", 0, 1, code);
         let p = prog(vec![], vec![main, mid, callee], Some(0), vec![]);
-        run_both_modes(&p, crate::vm::DEFAULT_MAX_FRAMES).0
+        let (outcome, _, peaks) = run_both_modes(&p, crate::vm::DEFAULT_MAX_FRAMES);
+        // Neither mode counts the frame of a callee it refuses to enter.
+        assert_eq!(peaks, [2, 2]);
+        outcome
     };
     assert_eq!(
         trap_of(fun("two", 2, 2, vec![Insn::Load(0), Insn::Ret]), 1),
@@ -722,6 +724,7 @@ fn call_traps_keep_their_text_in_both_modes() {
             ),
             other => panic!("expected arity trap, got {other:?}"),
         }
+        assert_eq!(vm.stats.peak_frames, 0, "{opts:?}: no frame entered");
         assert!(matches!(vm.call(0, vec![Value::Int(4)]), Ok(Value::Int(4))));
     }
 }
@@ -730,8 +733,7 @@ fn call_traps_keep_their_text_in_both_modes() {
 fn fast_call_underflow_counts_only_the_callers_operands() {
     // `f` has two locals below one operand when it calls `two` with two
     // arguments: the locals are not operands, so the call traps, naming
-    // the caller. (The frozen reference interpreter has no call-time
-    // underflow check; codegen never emits such code.)
+    // the caller. Codegen never emits such code.
     let main = fun("main", 0, 0, vec![Insn::CallStatic(1, 0), Insn::Ret]);
     let f = fun(
         "f",
@@ -741,16 +743,18 @@ fn fast_call_underflow_counts_only_the_callers_operands() {
     );
     let two = fun("two", 2, 2, vec![Insn::Load(0), Insn::Ret]);
     let p = prog(vec![], vec![main, f, two], Some(0), vec![]);
-    let mut vm = Vm::new(&p);
-    match vm.run_main() {
-        Err(e) => assert_eq!(e.to_string(), "vm trap: stack underflow in `f`"),
-        other => panic!("expected underflow trap, got {other:?}"),
-    }
+    let (outcome, _, peaks) = run_both_modes(&p, crate::vm::DEFAULT_MAX_FRAMES);
+    assert_eq!(outcome, "err: vm trap: stack underflow in `f`");
+    assert_eq!(peaks, [2, 2]);
     // The VM stays usable after a trap.
-    assert!(matches!(
-        vm.call(2, vec![Value::Int(8), Value::Unit]),
-        Ok(Value::Int(8))
-    ));
+    for opts in [VmOptions::fast(), VmOptions::reference()] {
+        let mut vm = Vm::with_options(&p, opts);
+        assert!(vm.run_main().is_err());
+        assert!(matches!(
+            vm.call(2, vec![Value::Int(8), Value::Unit]),
+            Ok(Value::Int(8))
+        ));
+    }
 }
 
 #[test]

@@ -486,7 +486,6 @@ impl<'p> Vm<'p> {
             return Err(Self::depth_trap(self.opts.max_frames));
         }
         self.depth += 1;
-        self.stats.peak_frames = self.stats.peak_frames.max(self.depth as u64);
         let r = self.invoke_inner(fid, args);
         self.depth -= 1;
         r
@@ -509,6 +508,8 @@ impl<'p> Vm<'p> {
                 args.len()
             )));
         }
+        // Counted only once the callee is entered, as fast mode does.
+        self.stats.peak_frames = self.stats.peak_frames.max(self.depth as u64);
         let mut locals = vec![Value::Unit; f.n_locals as usize];
         locals[..args.len()].clone_from_slice(&args);
         let mut stack: Vec<Value> = Vec::with_capacity(16);
@@ -521,6 +522,17 @@ impl<'p> Vm<'p> {
                     .pop()
                     .ok_or_else(|| VmError::Trap(format!("stack underflow in `{}`", f.name)))?
             };
+        }
+        // Takes a call's `argc` operands off the stack, trapping like
+        // fast mode when there are fewer.
+        macro_rules! call_args {
+            ($argc:expr) => {{
+                let split = stack
+                    .len()
+                    .checked_sub($argc as usize)
+                    .ok_or_else(|| VmError::Trap(format!("stack underflow in `{}`", f.name)))?;
+                stack.split_off(split)
+            }};
         }
         macro_rules! throw {
             ($val:expr) => {{
@@ -632,13 +644,11 @@ impl<'p> Vm<'p> {
                     }
                 }
                 Insn::CallStatic(g, argc) => {
-                    let split = stack.len() - argc as usize;
-                    let call_args = stack.split_off(split);
+                    let call_args = call_args!(argc);
                     invoke_to_stack!(g, call_args);
                 }
                 Insn::CallVirtual(slot, argc) => {
-                    let split = stack.len() - argc as usize;
-                    let call_args = stack.split_off(split);
+                    let call_args = call_args!(argc);
                     let recv = call_args
                         .first()
                         .ok_or_else(|| VmError::Trap("virtual call without receiver".into()))?
@@ -653,8 +663,7 @@ impl<'p> Vm<'p> {
                     }
                 }
                 Insn::CallDirect(cls, slot, argc) => {
-                    let split = stack.len() - argc as usize;
-                    let call_args = stack.split_off(split);
+                    let call_args = call_args!(argc);
                     match self.vtable_by_name(cls, slot) {
                         Some(g) => invoke_to_stack!(g, call_args),
                         None if self.program.method_name(slot) == mini_ir::std_names::init() => {

@@ -63,10 +63,13 @@
 //! `REPS`/`LOC` prints usage and exits non-zero rather than silently
 //! benchmarking the defaults.
 
-use mini_driver::{compile_sources, standard_plan, CompileSession, Compiled, CompilerOptions};
+use mini_driver::{
+    compile_sources, phase_factory, standard_plan, CompileSession, Compiled, CompilerOptions,
+};
 use mini_ir::Ctx;
 use miniphase::{
-    CompilationUnit, ExecStats, MiniPhase, NoInstrumentation, PhasePlan, Pipeline, SubtreePruning,
+    CompilationUnit, ExecStats, MiniPhase, NoInstrumentation, PhasePlan, RunControls,
+    SubtreePruning,
 };
 use std::time::{Duration, Instant};
 
@@ -176,31 +179,15 @@ impl Spec {
             .with_dce(self.dce)
     }
 
-    /// One phase-list instance (workers each build their own); sparse plans
-    /// bypass `build_plan` (their constraints name phases deliberately
-    /// absent from the list).
+    /// One phase-list instance (workers each build their own): the
+    /// driver's list for standard plans, analysis prefix included. Sparse
+    /// plans bypass `build_plan` (their constraints name phases
+    /// deliberately absent from the list).
     fn make_phases(&self) -> Vec<Box<dyn MiniPhase>> {
         match self.plan {
             Plan::Patmat => vec![Box::new(mini_phases::PatternMatcher::default())],
             Plan::Tailrec => vec![Box::new(mini_phases::TailRec)],
-            _ if self.lint || self.dce => {
-                // Mirrors the driver's analysis prefix: lint suite first,
-                // DCE last (sharing one fixpoint solve per unit when both
-                // run), then the standard pipeline.
-                let mut phases: Vec<Box<dyn MiniPhase>> = if self.lint && self.dce {
-                    let cache = mini_analysis::FactCache::new();
-                    let mut p = mini_analysis::lint_phases_sharing(cache.clone());
-                    p.push(Box::new(mini_analysis::dce::Dce::consuming_facts(cache)));
-                    p
-                } else if self.lint {
-                    mini_analysis::lint_phases()
-                } else {
-                    vec![Box::new(mini_analysis::dce::Dce::default())]
-                };
-                phases.extend(mini_phases::standard_pipeline());
-                phases
-            }
-            _ => mini_phases::standard_pipeline(),
+            _ => phase_factory(self.lint, self.dce)(),
         }
     }
 
@@ -267,9 +254,9 @@ fn run_compile(w: &workload::Workload, spec: &Spec) -> (Duration, Observed) {
     (elapsed, observe(&compiled))
 }
 
-/// One timed run: untimed frontend, then plan construction +
-/// `Pipeline::run_units` (or the parallel executor for `+jobsN` specs) +
-/// teardown under the clock.
+/// One timed run: untimed frontend, then plan construction + the batch
+/// executor (the in-place `Pipeline` at `jobs = 1`, one fork per unit at
+/// `+jobsN`) + teardown under the clock.
 fn run_once(w: &workload::Workload, spec: &Spec) -> (Duration, ExecStats) {
     let opts = spec.compiler_options();
     let mut ctx = Ctx::new();
@@ -281,39 +268,34 @@ fn run_once(w: &workload::Workload, spec: &Spec) -> (Duration, ExecStats) {
     let start = Instant::now();
     opts.configure_ctx(&mut ctx);
     let plan = spec.plan_for(&opts);
-    let (out, stats, failures) = if spec.jobs > 1 {
-        let run = miniphase::run_units_parallel(
-            &mut ctx,
-            &|| spec.make_phases(),
-            &plan,
-            opts.fusion,
-            units,
-            spec.jobs,
-            spec.check,
-            &NoInstrumentation,
-        );
-        (run.units, run.stats, run.failures)
-    } else {
-        let mut pipe = Pipeline::new(spec.make_phases(), &plan, opts.fusion);
-        pipe.check = spec.check;
-        let out = pipe.run_units(&mut ctx, units);
-        let stats = pipe.stats;
-        let failures = std::mem::take(&mut pipe.failures);
-        drop(pipe);
-        (out, stats, failures)
-    };
-    if !failures.is_empty() {
+    let run = miniphase::run_units_parallel(
+        &mut ctx,
+        &|| spec.make_phases(),
+        &plan,
+        opts.fusion,
+        units,
+        spec.jobs,
+        spec.check,
+        &NoInstrumentation,
+        &RunControls::default(),
+    );
+    if let Some(fault) = run.faults.first() {
+        eprintln!("FAIL: `{}` panicked: {fault}", spec.label);
+        std::process::exit(1);
+    }
+    if !run.failures.is_empty() {
         eprintln!(
             "FAIL: the tree checker flagged the benchmark corpus under `{}`:",
             spec.label
         );
-        for f in failures.iter().take(5) {
+        for f in run.failures.iter().take(5) {
             eprintln!("  {f}");
         }
         std::process::exit(1);
     }
-    std::hint::black_box(&out);
-    drop(out);
+    let stats = run.stats;
+    std::hint::black_box(&run.units);
+    drop(run);
     drop(ctx);
     (start.elapsed(), stats)
 }

@@ -17,7 +17,7 @@ use mini_ir::{visit, Ctx, NodeKind, Span, TreeKind, TreeRef, Type};
 ///
 /// Findings locate the offending node by **span and kind**, not by raw
 /// `NodeId`: node ids are allocator artifacts that differ between the
-/// sequential pipeline and every parallel chunking, while spans and kinds
+/// sequential pipeline and every parallel run, while spans and kinds
 /// are preserved byte-for-byte by the cross-arena tree import — which is
 /// what lets `jobs ∈ {2,4,8}` produce checker diagnostics identical to
 /// `jobs = 1` (a proptest-pinned guarantee).
@@ -68,7 +68,7 @@ impl std::fmt::Display for Severity {
 /// The same location discipline as [`CheckFailure`]: findings locate the
 /// offending node by **span and kind**, never by raw `NodeId` — node ids
 /// are allocator artifacts that differ between the sequential pipeline and
-/// every parallel chunking, while spans and kinds survive cross-arena tree
+/// every parallel run, while spans and kinds survive cross-arena tree
 /// imports byte-for-byte. That is what lets lint findings stay identical
 /// across fused/mega × jobs × pruning × incremental (proptest-pinned).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,7 +90,7 @@ pub struct Finding {
 impl Finding {
     /// The canonical sort key — `(unit, span, rule, kind, msg)`. Sorting by
     /// this key makes finding lists order-identical across every executor,
-    /// parallel chunking and incremental splice, because the *set* of
+    /// parallel run and incremental splice, because the *set* of
     /// findings depends only on each unit's own pre-transform tree.
     pub fn sort_key(&self) -> (&str, u32, u32, &'static str, u8, &str) {
         (

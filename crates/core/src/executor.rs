@@ -671,8 +671,8 @@ pub struct Pipeline {
     /// The same checker findings, split per phase group (one entry per
     /// group, unit order within it). Populated by
     /// [`Pipeline::run_units_recorded`] when [`Pipeline::check`] is on; the
-    /// parallel executor re-sequences these across unit chunks so the
-    /// merged failure list is byte-identical to a sequential run.
+    /// parallel executor re-sequences these across units so the merged
+    /// failure list is byte-identical to a sequential run.
     failures_by_group: Vec<Vec<CheckFailure>>,
     /// Static-analysis findings harvested from every phase's
     /// [`MiniPhase::take_findings`] after each unit × group traversal,
@@ -681,16 +681,16 @@ pub struct Pipeline {
     pub findings: Vec<Finding>,
     /// The same findings split per phase group (unit order within each
     /// group), mirroring `failures_by_group` so the parallel executor can
-    /// re-sequence them across unit chunks.
+    /// re-sequence them across units.
     findings_by_group: Vec<Vec<Finding>>,
     /// Deterministic fault injection ([`crate::faults`]): when set,
     /// [`Pipeline::run_units_recorded`] offers every `(unit, group)` entry
     /// to the plan before running it. `None` (the default) costs one
     /// branch per traversal.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Global batch index of this pipeline's first unit. Chunked executors
-    /// set it to the chunk's start so fault targeting and panic
-    /// attribution use batch-wide unit indexes, not chunk-local ones.
+    /// Global batch index of this pipeline's first unit. The per-unit
+    /// executor sets it to the unit's index so fault targeting and panic
+    /// attribution use batch-wide unit indexes, not pipeline-local ones.
     pub unit_index_base: usize,
     /// Optional wall-clock deadline, checked at **group boundaries** (the
     /// natural preemption points of the phase-major loop — §3's Listing 3

@@ -1,13 +1,14 @@
 //! Deterministic fault injection and panic attribution.
 //!
-//! The executors in [`crate::parallel`] fence every unit chunk with
-//! [`std::panic::catch_unwind`], so a phase (or checker, or scheduler)
-//! panic fails *that chunk's request* instead of the process. This module
-//! supplies the two halves of that robustness story:
+//! The executors in [`crate::parallel`] fence every unit (and the in-place
+//! `jobs ≤ 1` batch as a whole) with [`std::panic::catch_unwind`], so a
+//! phase (or checker, or scheduler) panic fails *that unit's request*
+//! instead of the process. This module supplies the two halves of that
+//! robustness story:
 //!
 //! 1. **Attribution** — a thread-local *active-site* marker the pipeline
 //!    updates at every `(unit, group)` boundary (and around each checker
-//!    replay). When a chunk's fence catches an unwind, the marker plus the
+//!    replay). When a fence catches an unwind, the marker plus the
 //!    panic payload become a structured [`InternalFault`] naming the unit,
 //!    the phase-group and the panic message — the raw material of the
 //!    driver's `CompileError::Internal`.
@@ -26,9 +27,10 @@
 //!   of the batch (global batch index, group 0);
 //! * `PanicInGroup { unit, group }` — panic when fused group `group`
 //!   starts on unit `unit`;
-//! * `ShardExhaustion { chunk }` — panic when chunk `chunk` is claimed,
-//!   with a symbol-shard-exhaustion-shaped message (the historical abort
-//!   this simulates);
+//! * `ShardExhaustion { unit }` — panic when a worker claims batch unit
+//!   `unit` (the in-place `jobs ≤ 1` batch claims only unit 0), with a
+//!   symbol-shard-exhaustion-shaped message (the historical abort this
+//!   simulates);
 //! * `CorruptArtifact { unit }` — no executor behaviour at all; a compile
 //!   session polls [`FaultPlan::take_artifact_corruption`] and flips the
 //!   fingerprint of the Nth cached artifact, forcing a recompile that must
@@ -48,7 +50,7 @@
 //!   next reader must detect, quarantine, and recompile around.
 //!
 //! Determinism: a plan's observable behaviour is a pure function of the
-//! plan and the batch — which unit indexes and chunk indexes exist — never
+//! plan and the batch — which unit indexes exist — never
 //! of thread scheduling. The only cross-thread state is the shot budget,
 //! and a budget only decides *how many* of the deterministic fire sites
 //! trigger; for the common budgets (1 shot, unlimited) the fired set is
@@ -61,16 +63,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// A caught pipeline panic, attributed to its compilation site. Produced by
-/// the chunk fences in [`crate::parallel`]; consumed by the driver, which
+/// the isolation fences in [`crate::parallel`]; consumed by the driver, which
 /// converts it into its structured `CompileError::Internal`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InternalFault {
     /// The unit being compiled when the panic unwound, when attributable
-    /// (a panic in per-chunk setup — import, fork, scheduler — reports the
-    /// chunk's first unit).
+    /// (a panic in per-unit setup — import, fork, scheduler — reports the
+    /// fenced unit, or the batch's first unit at `jobs ≤ 1`).
     pub unit: Option<String>,
     /// Where in the pipeline: `"group N"`, `"checker (group N)"`, or
-    /// `"scheduler"` for pre-pipeline chunk setup.
+    /// `"scheduler"` for pre-pipeline setup.
     pub phase: String,
     /// The panic message (`&str`/`String` payloads; other payload types
     /// render as a placeholder).
@@ -148,7 +150,7 @@ pub fn mark_active_site(unit: usize, group: usize, checker: bool) {
 }
 
 /// Clears the current thread's active-site marker (end of a batch, or entry
-/// to a fresh chunk so a stale site from a previous chunk on the same
+/// to a fresh unit so a stale site from a previous unit on the same
 /// worker thread can never misattribute a setup panic).
 #[inline]
 pub fn clear_active_site() {
@@ -156,7 +158,7 @@ pub fn clear_active_site() {
 }
 
 /// The `(unit index, group index, in-checker)` the current thread last
-/// marked, if any. Read by the chunk fences after catching an unwind.
+/// marked, if any. Read by the isolation fences after catching an unwind.
 pub fn active_site() -> Option<(usize, usize, bool)> {
     ACTIVE_SITE.with(|s| {
         let site = s.get();
@@ -182,11 +184,11 @@ pub enum FaultKind {
         /// Plan group index.
         group: usize,
     },
-    /// Panic when chunk `chunk` is claimed, simulating the historical
+    /// Panic when batch unit `unit` is claimed, simulating the historical
     /// symbol-shard-exhaustion abort.
     ShardExhaustion {
-        /// Chunk index (= unit index for isolated runs).
-        chunk: usize,
+        /// Global batch index of the target unit.
+        unit: usize,
     },
     /// Corrupt the fingerprint of the Nth cached artifact (session-level;
     /// executors ignore this kind entirely).
@@ -325,7 +327,7 @@ impl FaultPlan {
                 unit,
                 group: (next() % groups as u64) as usize,
             },
-            2 => FaultKind::ShardExhaustion { chunk: unit },
+            2 => FaultKind::ShardExhaustion { unit },
             _ => FaultKind::CorruptArtifact { unit },
         };
         Arc::new(FaultPlan::new(seed).with_fault(kind, shots))
@@ -400,16 +402,16 @@ impl FaultPlan {
         }
     }
 
-    /// Scheduler hook: called when chunk `chunk` is claimed, before any of
-    /// its units compile. Panics if an armed [`FaultKind::ShardExhaustion`]
-    /// targets the chunk.
+    /// Scheduler hook: called when batch unit `unit` is claimed, before it
+    /// compiles. Panics if an armed [`FaultKind::ShardExhaustion`] targets
+    /// the unit.
     #[inline]
-    pub fn fire_chunk_claim(&self, chunk: usize) {
+    pub fn fire_unit_claim(&self, unit: usize) {
         for f in &self.faults {
-            if let FaultKind::ShardExhaustion { chunk: c } = f.kind {
-                if c == chunk && self.record_fire(f) {
+            if let FaultKind::ShardExhaustion { unit: u } = f.kind {
+                if u == unit && self.record_fire(f) {
                     panic!(
-                        "injected fault (seed {}): symbol shard exhaustion in chunk {chunk}",
+                        "injected fault (seed {}): symbol shard exhaustion in unit {unit}",
                         self.seed
                     );
                 }
@@ -478,9 +480,9 @@ mod tests {
     #[test]
     fn unlimited_fault_keeps_firing() {
         let plan =
-            FaultPlan::new(1).with_fault(FaultKind::ShardExhaustion { chunk: 0 }, UNLIMITED_SHOTS);
+            FaultPlan::new(1).with_fault(FaultKind::ShardExhaustion { unit: 0 }, UNLIMITED_SHOTS);
         for _ in 0..3 {
-            assert!(std::panic::catch_unwind(|| plan.fire_chunk_claim(0)).is_err());
+            assert!(std::panic::catch_unwind(|| plan.fire_unit_claim(0)).is_err());
         }
         assert!(plan.is_armed());
     }

@@ -44,16 +44,15 @@
 //! ## Unit-level parallel compilation ([`parallel`])
 //!
 //! Fusion keeps each unit's traversal self-contained, so unit batches run
-//! across worker threads: the batch is carved into interleaved unit chunks
-//! that workers claim through an atomic index (cheap work stealing for
-//! skewed unit sizes), and each chunk compiles end-to-end with a private
-//! `Rc` tree arena, phase instances, scratch stacks and an O(1)
-//! copy-on-write fork of the symbol table — **trees never cross threads**,
-//! and chunk shards, counters and dynamic-checker findings merge back
-//! deterministically in unit order at group boundaries. `jobs = 1` is
-//! byte-identical to the sequential pipeline, with the checker on or off;
-//! see the [`parallel`] module docs for the full ownership, scheduling and
-//! determinism rules.
+//! across worker threads: workers claim units through an atomic index
+//! (cheap work stealing for skewed unit sizes), and each unit compiles
+//! end-to-end with a private `Rc` tree arena, phase instances, scratch
+//! stacks and an O(1) copy-on-write fork of the symbol table — **trees
+//! never cross threads**, and unit shards, counters and dynamic-checker
+//! findings merge back deterministically in unit order at group
+//! boundaries. Any `jobs` is byte-identical to the sequential pipeline,
+//! with the checker on or off; see the [`parallel`] module docs for the
+//! full ownership, scheduling and determinism rules.
 //!
 //! # Examples
 //!
@@ -110,9 +109,8 @@ pub use faults::{FaultKind, FaultPlan, InternalFault, RunControls, UNLIMITED_SHO
 pub use fused::{Fused, FusionOptions, SubtreePruning};
 pub use mini::{dispatch_prepare, dispatch_transform, synthetic_code_addr, MiniPhase, PhaseInfo};
 pub use parallel::{
-    run_units_isolated, run_units_parallel, run_units_parallel_controlled,
-    run_units_parallel_tuned, IsolatedLayout, IsolatedUnitRun, NoInstrumentation, ParallelRun,
-    ParallelTuning, WorkerInstrumentation, UNIT_HEAP_STRIDE, UNIT_ID_STRIDE,
+    run_units_isolated, run_units_parallel, IsolatedBatch, IsolatedLayout, IsolatedUnitRun,
+    NoInstrumentation, ParallelRun, WorkerInstrumentation,
 };
 pub use plan::{build_plan, PhasePlan, PlanError, PlanOptions};
 pub use unit::CompilationUnit;

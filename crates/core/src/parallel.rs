@@ -2,61 +2,66 @@
 //!
 //! The paper's fusion argument makes each compilation unit's traversal
 //! self-contained — no phase looks at another unit's tree mid-walk — which
-//! makes units embarrassingly parallel. This module schedules a unit batch
+//! makes units embarrassingly parallel. This module compiles a unit batch
 //! across [`std::thread::scope`] workers while keeping the run
 //! **byte-identical** to the sequential pipeline (a property test pins
 //! `jobs ∈ {2,4,8}` against `jobs = 1` over generated corpora, with the
 //! dynamic checker both off *and on*).
 //!
-//! # Scheduling — interleaved chunks, claimed by an atomic index
+//! # Scheduling — one job per unit, claimed by an atomic index
 //!
-//! The batch is carved into `jobs × chunks_per_worker` contiguous **unit
-//! chunks** (more chunks than workers), and worker threads claim chunks
-//! through a single atomic counter — cheap work stealing. A corpus with
-//! skewed unit sizes no longer serializes behind the worker that drew the
-//! one giant contiguous chunk: whoever finishes early claims the next
-//! chunk. Which *thread* runs a chunk is irrelevant to the output, because
-//! every chunk is hermetic — it gets its own [`Ctx`] (private `Rc` tree
-//! arena, intern caches, scratch stacks, phase instances) over its own
-//! disjoint node-id/heap/symbol-id ranges, all derived from the **chunk
-//! index**, never from the claiming thread. Results are re-sequenced by
-//! chunk index (= unit order) at the fan-in, so deltas, counters,
-//! diagnostics and checker findings merge identically no matter how the
-//! race for chunks played out.
+//! The unit is the unit of isolation. [`run_units_isolated`] gives every
+//! unit its own job — a private [`Ctx`] (`Rc` tree arena, intern caches,
+//! scratch stacks, phase instances) over its own disjoint node-id, heap and
+//! symbol-id ranges, all derived from the **unit index** — and worker
+//! threads claim units through a single atomic counter. That is cheap work
+//! stealing: a worker that finishes a small unit claims the next one, so a
+//! corpus with skewed unit sizes does not serialize behind one worker.
+//! Which *thread* runs a unit leaves no trace in its outcome, and outcomes
+//! are re-sequenced by unit index at the fan-in, so deltas, counters,
+//! diagnostics and checker findings merge identically however the race
+//! for units played out.
+//!
+//! Two entry points share that core:
+//!
+//! * [`run_units_isolated`] returns the per-unit outcomes and leaves the
+//!   origin context untouched. The incremental compile session caches them
+//!   and splices the deltas itself.
+//! * [`run_units_parallel`] runs a batch on a context. At `jobs ≥ 2` it
+//!   calls the core and folds the outcomes into `ctx` in unit order. At
+//!   `jobs ≤ 1` it runs the sequential [`Pipeline`] in place on `ctx`,
+//!   with no fork and no import copy.
 //!
 //! # Threading design — what is shared, what is replicated
 //!
 //! Trees are `Rc`-based since the traversal hot-path overhaul, so the hard
-//! ownership rule is: **trees never cross threads**. Each chunk compiles
-//! end-to-end (every phase group, phase-major over its units) on whichever
-//! thread claimed it:
+//! ownership rule is: **trees never cross threads**. Each unit compiles
+//! end-to-end (every phase group) on whichever thread claimed it:
 //!
-//! * **Replicated per chunk** — the whole mutable heart of [`Ctx`]: the
-//!   `Rc` tree arena (each unit's tree is deep-copied into the chunk's
-//!   arena through [`mini_ir::Ctx::import_tree`] before any phase runs; the
-//!   originals are only *read* during the copy, never cloned or dropped
+//! * **Replicated per unit** — the whole mutable heart of [`Ctx`]: the
+//!   `Rc` tree arena (the unit's tree is deep-copied into the job's arena
+//!   through [`mini_ir::Ctx::import_tree`] before any phase runs; the
+//!   original is only *read* during the copy, never cloned or dropped
 //!   off-thread), the literal-intern caches, the executor's reused scratch
-//!   stacks, and the phase instances themselves (built per chunk via the
+//!   stacks, and the phase instances themselves (built per unit via the
 //!   caller's factory).
 //! * **Shared, thread-safe** — the global [`mini_ir::Name`] interner (a
 //!   mutex over leaked `'static` strings) and the read-only
 //!   [`PhasePlan`] / [`FusionOptions`].
 //! * **Shared via copy-on-write fork + deterministic merge** — the symbol
-//!   table. Each chunk forks the origin table in **O(1)**
+//!   table. Each unit forks the origin table in **O(1)**
 //!   ([`mini_ir::SymbolTable::fork_for_worker`]): the fork aliases the
 //!   `Arc`-shared frozen base arena, allocates *new* symbols in a
-//!   chunk-private id shard (globally unique from birth, so chunk trees
-//!   need no id rewriting at merge time; a symbol-heavy chunk that
-//!   outgrows its shard chains interleaved overflow shards instead of
-//!   aborting), and routes mutations of pre-fork symbols to a private
-//!   overlay. After the join, shards and overlays merge back in chunk
-//!   order — which is unit order, because chunks are contiguous unit
-//!   ranges (see [`mini_ir::SymbolTable::adopt`] for the field-wise merge
-//!   rules).
+//!   unit-private id shard (globally unique from birth, so unit trees need
+//!   no id rewriting at merge time; a symbol-heavy unit that outgrows its
+//!   shard chains interleaved overflow shards instead of aborting), and
+//!   routes mutations of pre-fork symbols to a private overlay. The batch
+//!   entry point adopts the deltas in unit order (see
+//!   [`mini_ir::SymbolTable::adopt`] for the field-wise merge rules).
 //!
-//! # The per-chunk dynamic checker and its failure-ordering rule
+//! # The per-unit dynamic checker and its failure-ordering rule
 //!
-//! With `check` on, each chunk runs the between-group tree checker
+//! With `check` on, each unit runs the between-group tree checker
 //! ([`crate::check_unit`]) against its **own private context** — checker
 //! reads resolve in the fork exactly as they would in the shared
 //! sequential table, because symbol infos are derived per period on read
@@ -77,19 +82,19 @@
 //! symbol lookups resolve in the forked table exactly as they would in the
 //! shared one (generated units only mutate symbols they own), and node
 //! ids/addresses — which *do* differ across `jobs` values — are never
-//! consulted by phases or printed output. [`ExecStats`] and
-//! [`mini_ir::AllocStats`] merge in unit order at group boundaries, giving
-//! identical `ExecStats` to the sequential run. The merged `AllocStats`
-//! deliberately cover the **transform pipeline only** — the per-chunk
-//! floor is snapshotted *after* the import copies, mirroring the
-//! sequential measurement — so they stay comparable to `jobs = 1`; they
-//! still run slightly higher because each chunk's private intern cache
-//! re-allocates literals another chunk (or the frontend) already interned.
+//! consulted by phases or printed output. [`ExecStats`] merge in unit
+//! order at group boundaries, giving identical `ExecStats` to the
+//! sequential run. The merged [`mini_ir::AllocStats`] are summed per unit
+//! and deliberately cover the **transform pipeline only** — each unit's
+//! floor is snapshotted *after* its import copy, mirroring the sequential
+//! measurement — so they stay comparable to `jobs = 1`; they still run
+//! slightly higher because each unit's private intern cache re-allocates
+//! literals another unit (or the frontend) already interned.
 //!
 //! Diagnostics merge in unit order too (sequential emission interleaves
 //! groups, so the *order* can differ from `jobs = 1`; the set cannot).
-//! Instrumented simulator runs install per-chunk sinks through
-//! [`WorkerInstrumentation`] and fan the per-chunk results back in chunk
+//! Instrumented simulator runs install per-unit sinks through
+//! [`WorkerInstrumentation`] and get the per-unit results back in unit
 //! order.
 
 use crate::checker::{CheckFailure, Finding};
@@ -104,69 +109,42 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Spacing between chunk node-id ranges: no chunk can allocate this many
-/// nodes, so ranges never collide (ids are `u64`; even hundreds of chunks
-/// use < 2⁴⁸ of the space). Public so compile sessions can advance their
-/// own node-id cursor by whole strides across compiles.
-pub const UNIT_ID_STRIDE: u64 = 1 << 40;
-const ID_STRIDE: u64 = UNIT_ID_STRIDE;
+/// Spacing between unit node-id ranges: no unit can allocate this many
+/// nodes, so ranges never collide (ids are `u64`; even hundreds of units
+/// use < 2⁴⁸ of the space).
+const ID_STRIDE: u64 = 1 << 40;
 
-/// Spacing between chunk modelled-heap ranges (addresses only feed the
-/// per-chunk cache simulator, which never sees another chunk's range).
-/// Public for the same cursor-keeping reason as [`UNIT_ID_STRIDE`].
-pub const UNIT_HEAP_STRIDE: u64 = 1 << 36;
-const HEAP_STRIDE: u64 = UNIT_HEAP_STRIDE;
+/// Spacing between unit modelled-heap ranges (addresses only feed the
+/// per-unit cache simulator, which never sees another unit's range).
+const HEAP_STRIDE: u64 = 1 << 36;
 
-/// Symbol-id headroom left above the base region for sequential allocation
-/// *after* a parallel run (the base region cannot grow past the first
-/// adopted worker shard).
+/// Symbol-id headroom a batch leaves above the origin table for sequential
+/// allocation *after* it (the base region cannot grow past the first
+/// adopted unit shard).
 const SYM_BASE_HEADROOM: u32 = 1 << 20;
 
-/// Scheduling and id-space tunables of the parallel executor. The defaults
-/// suit production runs; tests shrink them to force the rare paths
-/// (overflow-shard chaining) on small corpora.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelTuning {
-    /// Unit chunks carved per worker thread. More chunks let the atomic
-    /// claim index balance skewed unit sizes (a worker that finishes early
-    /// steals the next chunk); `1` reproduces the old one-contiguous-chunk-
-    /// per-worker schedule. Chunk count is always capped at the unit count.
-    pub chunks_per_worker: usize,
-    /// Symbol-id capacity of each chunk's primary shard and of every
-    /// chained overflow shard. Exceeding it no longer panics — the fork
-    /// chains overflow shards with globally unique interleaved ids — so
-    /// this only trades id-space consumption against chain length.
-    pub sym_shard_capacity: u32,
-}
+/// Symbol-id capacity of each unit's primary shard and of every overflow
+/// shard it chains: two orders of magnitude above any realistic per-unit
+/// count, while keeping per-batch id-space consumption low enough for
+/// thousands of batches on one long-lived `Ctx`.
+const SYM_SHARD_CAPACITY: u32 = 1 << 16;
 
-impl Default for ParallelTuning {
-    fn default() -> ParallelTuning {
-        ParallelTuning {
-            chunks_per_worker: 4,
-            // 65k fresh symbols per chunk before the first overflow shard:
-            // two orders of magnitude above any realistic per-chunk count,
-            // while keeping per-run id-space consumption low enough for
-            // thousands of parallel runs on one long-lived `Ctx`.
-            sym_shard_capacity: 1 << 16,
-        }
-    }
-}
-
-/// Per-chunk instrumentation hooks for parallel runs: `install` runs on the
-/// claiming thread after the chunk's unit trees are imported (so simulators
-/// see the transform pipeline only, as in sequential measured runs),
-/// `finish` runs after the chunk's last group. `Data` is shipped back to
-/// the caller in chunk (= unit) order — the deterministic fan-in for
-/// GC-/cache-simulator counters.
+/// Per-unit instrumentation hooks: `install` runs on the claiming thread
+/// after the unit's tree is imported (so simulators see the transform
+/// pipeline only, as in sequential measured runs), `finish` runs after the
+/// unit's last group. `Data` is shipped back to the caller in unit order —
+/// the deterministic fan-in for GC-/cache-simulator counters. The
+/// in-place `jobs ≤ 1` batch installs once, as unit 0, around the whole
+/// batch.
 pub trait WorkerInstrumentation: Sync {
     /// Thread-local state (simulator handles); never crosses threads.
     type State;
-    /// Per-chunk results returned to the calling thread.
+    /// Per-unit results returned to the calling thread.
     type Data: Send;
-    /// Installs sinks into the chunk's context; runs on the claiming thread.
-    fn install(&self, worker: usize, ctx: &mut Ctx) -> Self::State;
-    /// Uninstalls sinks and extracts the chunk's results.
-    fn finish(&self, worker: usize, state: Self::State, ctx: &mut Ctx) -> Self::Data;
+    /// Installs sinks into the unit's context; runs on the claiming thread.
+    fn install(&self, unit: usize, ctx: &mut Ctx) -> Self::State;
+    /// Uninstalls sinks and extracts the unit's results.
+    fn finish(&self, unit: usize, state: Self::State, ctx: &mut Ctx) -> Self::Data;
 }
 
 /// The no-op instrumentation used by plain (untimed, unsimulated) runs.
@@ -175,15 +153,16 @@ pub struct NoInstrumentation;
 impl WorkerInstrumentation for NoInstrumentation {
     type State = ();
     type Data = ();
-    fn install(&self, _worker: usize, _ctx: &mut Ctx) {}
-    fn finish(&self, _worker: usize, _state: (), _ctx: &mut Ctx) {}
+    fn install(&self, _unit: usize, _ctx: &mut Ctx) {}
+    fn finish(&self, _unit: usize, _state: (), _ctx: &mut Ctx) {}
 }
 
-/// The result of a parallel batch run.
+/// The result of a batch run ([`run_units_parallel`]).
 pub struct ParallelRun<D> {
     /// The lowered units, in input order. When [`ParallelRun::faults`] is
-    /// non-empty, the panicked chunks' units are **missing** from this
-    /// vector — callers must inspect `faults` before trusting the batch.
+    /// non-empty, the panicked units are **missing** from this vector
+    /// (at `jobs ≤ 1`, the whole batch is) — callers must inspect `faults`
+    /// before trusting the batch.
     pub units: Vec<CompilationUnit>,
     /// Executor counters, merged in unit order at group boundaries;
     /// identical to the sequential run's [`Pipeline::stats`].
@@ -202,15 +181,13 @@ pub struct ParallelRun<D> {
     /// must report this, never the requested value — a silent downgrade is
     /// a lie in the measurement.
     pub effective_jobs: usize,
-    /// Per-chunk instrumentation results, in chunk (= unit) order.
-    /// Panicked chunks contribute no entry.
+    /// Instrumentation results in unit order: one per unit at `jobs ≥ 2`,
+    /// one for the whole batch at `jobs ≤ 1`. Panicked units contribute no
+    /// entry.
     pub worker_data: Vec<D>,
-    /// Panics caught at the chunk isolation fence, in chunk (= unit)
-    /// order, each attributed to a unit and phase via the thread-local
-    /// active-site marker (see [`crate::faults`]). Always empty through
-    /// [`run_units_parallel`] / [`run_units_parallel_tuned`], which
-    /// re-panic on the first fault to preserve their fail-fast contract;
-    /// only [`run_units_parallel_controlled`] returns them.
+    /// Panics caught at the isolation fence, in unit order, each
+    /// attributed to a unit and phase via the thread-local active-site
+    /// marker (see [`crate::faults`]).
     pub faults: Vec<InternalFault>,
 }
 
@@ -231,60 +208,50 @@ struct UnitLoan<'a> {
 // outlive it; refcounted handles are neither cloned nor dropped off-thread.
 unsafe impl Send for UnitLoan<'_> {}
 
-/// A chunk's finished units travelling back to the calling thread.
+/// A unit's outcome travelling back to the calling thread.
 ///
-/// Wrapped because `TreeRef` is `Rc`: every handle reachable from these
-/// units lives in the chunk's own arena (imported roots, chunk-built
-/// nodes, chunk-interned literals), and the claiming thread is done with
-/// the chunk before the wrapper is opened, with the scope join providing
-/// the happens-before edge. After the join the calling thread is the sole
-/// owner.
-struct UnitsHandoff(Vec<CompilationUnit>);
+/// Wrapped because `TreeRef` is `Rc`: every handle reachable from the
+/// lowered unit lives in the unit's own arena (imported root, nodes the
+/// unit's pipeline built, literals it interned), and the claiming thread
+/// is done with the unit before the wrapper is opened, with the scope join
+/// providing the happens-before edge. After the join the calling thread is
+/// the sole owner.
+struct UnitHandoff<D>(Result<IsolatedUnitRun<D>, InternalFault>);
 
 // SAFETY: see the type docs — whole-arena ownership transfer synchronized
-// by `thread::scope` join; no handle is shared with any live thread.
-unsafe impl Send for UnitsHandoff {}
+// by `thread::scope` join; no handle is shared with any live thread. Every
+// field besides the unit is `Send` on its own (checked below), and so is
+// the instrumentation data `D`.
+unsafe impl<D: Send> Send for UnitHandoff<D> {}
 
-/// Everything one chunk needs to compile: loans of its unit trees, an O(1)
-/// symbol-table fork, and the chunk's disjoint allocator floors. Built on
+fn assert_send<T: Send>() {}
+const _: fn() = assert_send::<(
+    ExecStats,
+    CheckFailure,
+    Finding,
+    mini_ir::SymbolDelta,
+    mini_ir::AllocStats,
+    mini_ir::Diagnostic,
+    InternalFault,
+)>;
+
+/// Everything one unit needs to compile: a loan of its tree, an O(1)
+/// symbol-table fork, and the unit's disjoint allocator floors. Built on
 /// the calling thread, claimed (via the atomic index) by exactly one
 /// worker.
-struct ChunkJob<'a> {
-    loans: Vec<UnitLoan<'a>>,
+struct UnitJob<'a> {
+    loan: UnitLoan<'a>,
     table: mini_ir::SymbolTable,
+    sym_slot: (u32, u32),
     id_floor: u64,
     heap_floor: u64,
-    /// Batch index of the chunk's first unit — fault targeting and panic
-    /// attribution speak batch-wide unit indexes, not chunk-local ones.
-    unit_base: usize,
 }
 
-struct ChunkOutcome<D> {
-    units: UnitsHandoff,
-    /// `grid[group][chunk-local unit]` traversal counters.
-    grid: Vec<Vec<ExecStats>>,
-    /// `failures[group]` checker findings, unit order within the chunk.
-    /// Empty unless `check` was on.
-    failures: Vec<Vec<CheckFailure>>,
-    /// `findings[group]` static-analysis findings, unit order within the
-    /// chunk. Empty unless analysis phases were in the plan.
-    findings: Vec<Vec<Finding>>,
-    /// `None` when the chunk panicked (its fork died with the unwind).
-    delta: Option<mini_ir::SymbolDelta>,
-    alloc: mini_ir::AllocStats,
-    errors: Vec<mini_ir::Diagnostic>,
-    /// `None` when the chunk panicked.
-    data: Option<D>,
-    /// The caught panic, attributed to a unit and phase. `Some` means every
-    /// other field is empty/zero — the chunk contributed nothing.
-    fault: Option<InternalFault>,
-}
-
-/// Builds the structured fault for a panic caught at a chunk fence: the
-/// thread-local active-site marker pins the unit and phase the executor was
-/// in when the payload flew; a panic *outside* any marked site (scheduling,
-/// import, fork plumbing) is attributed to the chunk's first unit at the
-/// `"scheduler"` phase.
+/// Builds the structured fault for a panic caught at an isolation fence:
+/// the thread-local active-site marker pins the unit and phase the
+/// executor was in when the payload flew; a panic *outside* any marked
+/// site (scheduling, import, fork plumbing) is attributed to the fenced
+/// batch's first unit at the `"scheduler"` phase.
 fn fault_from_panic(
     payload: Box<dyn std::any::Any + Send>,
     unit_base: usize,
@@ -308,17 +275,16 @@ fn fault_from_panic(
     }
 }
 
-/// Compiles one claimed chunk end-to-end on the current thread, inside a
-/// `catch_unwind` fence — a panic anywhere in the chunk (phase hook,
-/// checker, injected fault) is converted into `ChunkOutcome::fault` instead
-/// of unwinding into the scheduler, so sibling chunks complete and the
-/// fan-in stays deterministic. Entirely determined by the chunk's job
-/// (floors, fork, loans) — the identity of the claiming thread leaves no
-/// trace in the outcome.
+/// Compiles unit `index` end-to-end on the current thread, inside a
+/// `catch_unwind` fence — a panic anywhere in the unit (phase hook,
+/// checker, injected fault) becomes an attributed fault instead of
+/// unwinding into the scheduler, so sibling units complete and the fan-in
+/// stays deterministic. Entirely determined by the job (floors, fork,
+/// loan) — the identity of the claiming thread leaves no trace.
 #[allow(clippy::too_many_arguments)]
-fn compile_chunk<F, I>(
-    chunk: usize,
-    job: ChunkJob<'_>,
+fn compile_unit_job<F, I>(
+    index: usize,
+    job: UnitJob<'_>,
     ir_options: mini_ir::IrOptions,
     make_phases: &F,
     plan: &PhasePlan,
@@ -326,101 +292,91 @@ fn compile_chunk<F, I>(
     check: bool,
     instr: &I,
     controls: &RunControls,
-) -> ChunkOutcome<I::Data>
+) -> Result<IsolatedUnitRun<I::Data>, InternalFault>
 where
     F: Fn() -> Vec<Box<dyn MiniPhase>> + Sync,
     I: WorkerInstrumentation,
 {
-    let unit_names: Vec<String> = job.loans.iter().map(|l| l.name.to_string()).collect();
-    let unit_base = job.unit_base;
+    let name = job.loan.name.to_string();
     faults::clear_active_site();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let ChunkJob {
-            loans,
+    catch_unwind(AssertUnwindSafe(|| {
+        let UnitJob {
+            loan,
             table,
+            sym_slot,
             id_floor,
             heap_floor,
-            unit_base,
         } = job;
         if let Some(fault_plan) = &controls.faults {
-            fault_plan.fire_chunk_claim(chunk);
+            fault_plan.fire_unit_claim(index);
         }
         let mut wctx = Ctx::worker(table, ir_options, id_floor, heap_floor);
-        let local: Vec<CompilationUnit> = loans
-            .iter()
-            .map(|l| CompilationUnit::new(l.name, wctx.import_tree(l.tree)))
-            .collect();
-        drop(loans);
-        // Floor AFTER the import copies: the merged AllocStats cover the
+        let unit = CompilationUnit::new(loan.name, wctx.import_tree(loan.tree));
+        // Floor AFTER the import copy: the merged AllocStats cover the
         // transform pipeline only, like sequential measured runs (see the
         // module docs).
         let alloc_floor = wctx.stats;
-        let state = instr.install(chunk, &mut wctx);
+        let state = instr.install(index, &mut wctx);
         let mut pipeline = Pipeline::new(make_phases(), plan, opts);
         pipeline.check = check;
         pipeline.faults = controls.faults.clone();
-        pipeline.unit_index_base = unit_base;
+        pipeline.unit_index_base = index;
         pipeline.deadline = controls.deadline;
-        let (out, grid) = pipeline.run_units_recorded(&mut wctx, local);
-        let failures = pipeline.take_failures_by_group();
-        let findings = pipeline.take_findings_by_group();
-        let data = instr.finish(chunk, state, &mut wctx);
+        let (mut out, grid) = pipeline.run_units_recorded(&mut wctx, vec![unit]);
+        let data = instr.finish(index, state, &mut wctx);
         let alloc = mini_ir::AllocStats {
             nodes: wctx.stats.nodes - alloc_floor.nodes,
             bytes: wctx.stats.bytes - alloc_floor.bytes,
         };
         let errors = std::mem::take(&mut wctx.errors);
-        // Drop the chunk's intern cache and scratch before the hand-off;
-        // the remaining arena rides out in `units`.
-        let delta = wctx.into_symbol_delta();
-        ChunkOutcome {
-            units: UnitsHandoff(out),
-            grid,
-            failures,
-            findings,
-            delta: Some(delta),
+        IsolatedUnitRun {
+            unit: out.pop().expect("one unit in, one unit out"),
+            // `run_units_recorded` fills member_transforms per grid row,
+            // so row[0] is the complete per-group counter set.
+            stats_by_group: grid.iter().map(|row| row[0]).collect(),
+            failures_by_group: pipeline.take_failures_by_group(),
+            findings_by_group: pipeline.take_findings_by_group(),
+            // Drops the unit's intern cache and scratch before the
+            // hand-off; the rest of the arena rides out in `unit`.
+            delta: wctx.into_symbol_delta(),
+            sym_slot,
             alloc,
             errors,
-            data: Some(data),
-            fault: None,
+            data,
         }
-    }));
-    match result {
-        Ok(outcome) => outcome,
-        Err(payload) => ChunkOutcome {
-            units: UnitsHandoff(Vec::new()),
-            grid: Vec::new(),
-            failures: Vec::new(),
-            findings: Vec::new(),
-            delta: None,
-            alloc: mini_ir::AllocStats::default(),
-            errors: Vec::new(),
-            data: None,
-            fault: Some(fault_from_panic(payload, unit_base, &unit_names)),
-        },
-    }
+    }))
+    .map_err(|payload| fault_from_panic(payload, index, std::slice::from_ref(&name)))
 }
 
-/// Runs the pipeline over `units` on `jobs` worker threads — interleaved
-/// unit chunks claimed through an atomic index, phase-major within each
-/// chunk — and merges trees, counters, diagnostics, checker findings and
-/// symbol-table changes back deterministically (unit order at group
-/// boundaries). With `jobs <= 1` — after clamping `0` up and the unit
-/// count down — this *is* the sequential [`Pipeline::run_units`], run
-/// in-place on `ctx`. With `check` on, each chunk replays the dynamic tree
-/// checker against its private context; the merged failure list is
-/// byte-identical to a sequential checked run (see the module docs for the
-/// ordering rule).
+/// Runs the pipeline over `units` and merges trees, counters, diagnostics,
+/// checker findings and symbol-table changes into `ctx` deterministically
+/// (unit order at group boundaries). `jobs` is clamped to `1..=units`.
 ///
-/// `make_phases` builds one phase list per chunk (phase instances hold
+/// * At `jobs ≤ 1` this *is* the sequential [`Pipeline::run_units`], run
+///   in place on `ctx` inside one `catch_unwind` fence.
+/// * At `jobs ≥ 2` it runs [`run_units_isolated`] — one fork, arena and
+///   phase list per unit, claimed by `jobs` worker threads — on floors
+///   just above `ctx`'s allocators, then adopts every unit's delta in unit
+///   order.
+///
+/// With `check` on, each unit replays the dynamic tree checker against its
+/// private context; the merged failure list is byte-identical to a
+/// sequential checked run (see the module docs for the ordering rule).
+///
+/// Panics are caught at the isolation fence, attributed to a unit and
+/// phase, and returned in [`ParallelRun::faults`] while sibling units
+/// complete and merge; the panicked units, their worker data and their
+/// symbol deltas are simply absent. `controls` threads the optional
+/// [`crate::faults::FaultPlan`] and the wall-clock deadline into every
+/// [`Pipeline`] — both are zero-cost when unset.
+///
+/// `make_phases` builds one phase list per unit (phase instances hold
 /// traversal state and are not shared); every list must match `plan`.
 ///
 /// # Panics
 ///
-/// Panics if a worker chunk panics (the chunk fence catches the original
-/// unwind, lets sibling chunks finish, then this wrapper re-panics with
-/// the attributed fault — use [`run_units_parallel_controlled`] to receive
-/// the fault as data instead) or if `make_phases` disagrees with `plan`.
+/// Panics if the symbol-id space above `ctx`'s table has no room for one
+/// shard per unit.
 #[allow(clippy::too_many_arguments)]
 pub fn run_units_parallel<F, I>(
     ctx: &mut Ctx,
@@ -431,90 +387,13 @@ pub fn run_units_parallel<F, I>(
     jobs: usize,
     check: bool,
     instr: &I,
-) -> ParallelRun<I::Data>
-where
-    F: Fn() -> Vec<Box<dyn MiniPhase>> + Sync,
-    I: WorkerInstrumentation,
-{
-    run_units_parallel_tuned(
-        ctx,
-        make_phases,
-        plan,
-        opts,
-        units,
-        jobs,
-        check,
-        instr,
-        ParallelTuning::default(),
-    )
-}
-
-/// [`run_units_parallel`] with explicit [`ParallelTuning`] — exposed so
-/// tests and benchmarks can shrink chunk sizes and shard capacities to
-/// exercise the scheduler's rare paths on small corpora. Fail-fast like
-/// [`run_units_parallel`]: a caught worker panic is re-raised here.
-#[allow(clippy::too_many_arguments)]
-pub fn run_units_parallel_tuned<F, I>(
-    ctx: &mut Ctx,
-    make_phases: &F,
-    plan: &PhasePlan,
-    opts: FusionOptions,
-    units: Vec<CompilationUnit>,
-    jobs: usize,
-    check: bool,
-    instr: &I,
-    tuning: ParallelTuning,
-) -> ParallelRun<I::Data>
-where
-    F: Fn() -> Vec<Box<dyn MiniPhase>> + Sync,
-    I: WorkerInstrumentation,
-{
-    let run = run_units_parallel_controlled(
-        ctx,
-        make_phases,
-        plan,
-        opts,
-        units,
-        jobs,
-        check,
-        instr,
-        tuning,
-        &RunControls::default(),
-    );
-    if let Some(fault) = run.faults.first() {
-        panic!("{fault}");
-    }
-    run
-}
-
-/// [`run_units_parallel_tuned`] plus [`RunControls`] — the fault-tolerant
-/// entry point. Worker panics are caught at the chunk fence, attributed to
-/// a unit and phase, and returned in [`ParallelRun::faults`] (chunk = unit
-/// order) while sibling chunks complete and merge deterministically; the
-/// panicked chunks' units, worker data and symbol deltas are simply absent.
-/// `controls` also threads the optional [`crate::faults::FaultPlan`]
-/// injection plan and the wall-clock deadline down into every chunk's
-/// [`Pipeline`] — both are zero-cost when unset.
-#[allow(clippy::too_many_arguments)]
-pub fn run_units_parallel_controlled<F, I>(
-    ctx: &mut Ctx,
-    make_phases: &F,
-    plan: &PhasePlan,
-    opts: FusionOptions,
-    units: Vec<CompilationUnit>,
-    jobs: usize,
-    check: bool,
-    instr: &I,
-    tuning: ParallelTuning,
     controls: &RunControls,
 ) -> ParallelRun<I::Data>
 where
     F: Fn() -> Vec<Box<dyn MiniPhase>> + Sync,
     I: WorkerInstrumentation,
 {
-    let n = units.len();
-    let jobs = jobs.clamp(1, n.max(1));
-    if jobs <= 1 {
+    if jobs.min(units.len()) <= 1 {
         let unit_names: Vec<String> = units.iter().map(|u| u.name.clone()).collect();
         let mut pipeline = Pipeline::new(make_phases(), plan, opts);
         pipeline.check = check;
@@ -524,7 +403,7 @@ where
         faults::clear_active_site();
         let result = catch_unwind(AssertUnwindSafe(|| {
             if let Some(fault_plan) = &controls.faults {
-                fault_plan.fire_chunk_claim(0);
+                fault_plan.fire_unit_claim(0);
             }
             let state = instr.install(0, ctx);
             let units = pipeline.run_units(ctx, units);
@@ -554,203 +433,117 @@ where
     }
 
     let (id_floor, heap_floor) = ctx.alloc_watermarks();
-    let chunk_count = (jobs * tuning.chunks_per_worker.max(1)).clamp(jobs, n);
-    // Symbol-id layout: `chunk_count` primary shards above the headroom
-    // floor, then an overflow region where chunk `c`'s chained shards live
-    // at `overflow_base + (k·chunk_count + c)·stride` — disjoint from every
-    // primary and from every other chunk's chain by construction. The
-    // stride is capped so primaries plus one full overflow round always
-    // fit in the remaining u32 space; symbol-heavy chunks keep chaining
-    // beyond that until the id domain truly runs out (which panics with a
-    // clear message in the allocator, not a shard-overflow abort).
-    let sym_floor = ctx
-        .symbols
-        .id_ceiling()
-        .saturating_add(SYM_BASE_HEADROOM)
-        .min(u32::MAX - 1);
-    let chunks_u32 = chunk_count as u32;
-    // A clear diagnostic (not a wrapped-arithmetic assert deep in the fork
-    // guards) when the u32 id domain genuinely has no room left for even
-    // 1-symbol shards plus one overflow round.
-    assert!(
-        (u32::MAX - sym_floor) / (chunks_u32 * 2) > 0,
-        "symbol id space exhausted: too many parallel runs on one long-lived Ctx"
+    let layout = IsolatedLayout {
+        sym_floor: ctx
+            .symbols
+            .id_ceiling()
+            .saturating_add(SYM_BASE_HEADROOM)
+            .min(u32::MAX - 1),
+        id_floor,
+        heap_floor,
+    };
+    let batch = run_units_isolated(
+        ctx,
+        make_phases,
+        plan,
+        opts,
+        &units,
+        jobs,
+        check,
+        instr,
+        layout,
+        controls,
     );
-    let sym_stride = tuning
-        .sym_shard_capacity
-        .max(1)
-        .min((u32::MAX - sym_floor) / (chunks_u32 * 2));
-    let overflow_base = sym_floor + chunks_u32 * sym_stride;
-    // Contiguous, balanced chunks: chunk `c` owns units
-    // [c*n/chunks, (c+1)*n/chunks) — so chunk order IS unit order.
-    let bounds: Vec<(usize, usize)> = (0..chunk_count)
-        .map(|c| (c * n / chunk_count, (c + 1) * n / chunk_count))
-        .collect();
-
-    let jobs_slots: Vec<Mutex<Option<ChunkJob<'_>>>> = bounds
-        .iter()
-        .enumerate()
-        .map(|(c, &(lo, hi))| {
-            let loans: Vec<UnitLoan<'_>> = units[lo..hi]
-                .iter()
-                .map(|u| UnitLoan {
-                    name: &u.name,
-                    tree: &u.tree,
-                })
-                .collect();
-            let table = ctx.symbols.fork_for_worker(
-                sym_floor + c as u32 * sym_stride,
-                sym_stride,
-                ShardGrowth {
-                    next_start: overflow_base.saturating_add(c as u32 * sym_stride),
-                    step: chunks_u32 * sym_stride,
-                    capacity: sym_stride,
-                },
-            );
-            Mutex::new(Some(ChunkJob {
-                loans,
-                table,
-                id_floor: id_floor + c as u64 * ID_STRIDE,
-                heap_floor: heap_floor + c as u64 * HEAP_STRIDE,
-                unit_base: lo,
-            }))
-        })
-        .collect();
-    let outcome_slots: Vec<Mutex<Option<ChunkOutcome<I::Data>>>> =
-        (0..chunk_count).map(|_| Mutex::new(None)).collect();
-    let next_chunk = AtomicUsize::new(0);
-    let ir_options = ctx.options;
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if c >= chunk_count {
-                        break;
-                    }
-                    let job = jobs_slots[c]
-                        .lock()
-                        .expect("chunk job mutex")
-                        .take()
-                        .expect("atomic index hands each chunk to exactly one worker");
-                    let outcome = compile_chunk(
-                        c,
-                        job,
-                        ir_options,
-                        make_phases,
-                        plan,
-                        opts,
-                        check,
-                        instr,
-                        controls,
-                    );
-                    *outcome_slots[c].lock().expect("chunk outcome mutex") = Some(outcome);
-                })
-            })
-            .collect();
-        for h in handles {
-            // Chunk panics are caught inside `compile_chunk`; a join error
-            // here means the scheduler loop itself broke (poisoned mutex).
-            h.join().expect("parallel compilation scheduler panicked");
-        }
-    });
-    // The originals were only loaned; the chunks returned fresh arenas.
-    drop(jobs_slots);
+    // The originals were only loaned; every unit came back in its own arena.
     drop(units);
 
-    let outcomes: Vec<ChunkOutcome<I::Data>> = outcome_slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("chunk outcome mutex")
-                .expect("every chunk index below the cap was compiled")
-        })
-        .collect();
-
-    // Deterministic fan-in, chunk order = unit order throughout. Panicked
-    // chunks have empty grids/failures and contribute nothing beyond their
-    // attributed fault.
-    let groups = outcomes.iter().map(|o| o.grid.len()).max().unwrap_or(0);
+    // Deterministic fan-in in unit order. A panicked unit contributes
+    // nothing beyond its attributed fault.
+    let mut runs = Vec::with_capacity(batch.runs.len());
+    let mut unit_faults = Vec::new();
+    for run in batch.runs {
+        match run {
+            Ok(r) => runs.push(r),
+            Err(fault) => unit_faults.push(fault),
+        }
+    }
+    let groups = runs
+        .iter()
+        .map(|r| r.stats_by_group.len())
+        .max()
+        .unwrap_or(0);
     let mut stats = ExecStats::default();
     for gi in 0..groups {
-        for o in &outcomes {
-            for s in o.grid.get(gi).map_or(&[][..], |row| row.as_slice()) {
-                stats.merge(*s);
-            }
+        for s in runs.iter().filter_map(|r| r.stats_by_group.get(gi)) {
+            stats.merge(*s);
         }
     }
-    let mut failure_groups: Vec<Vec<CheckFailure>> = Vec::new();
-    let mut finding_groups: Vec<Vec<Finding>> = Vec::new();
-    let mut out_units = Vec::with_capacity(n);
-    let mut worker_data = Vec::with_capacity(chunk_count);
-    let mut chunk_faults = Vec::new();
-    for o in outcomes {
-        if let Some(fault) = o.fault {
-            chunk_faults.push(fault);
-            continue;
-        }
-        for (gi, fs) in o.failures.into_iter().enumerate() {
-            if failure_groups.len() <= gi {
-                failure_groups.resize_with(gi + 1, Vec::new);
-            }
-            failure_groups[gi].extend(fs);
-        }
-        for (gi, fs) in o.findings.into_iter().enumerate() {
-            if finding_groups.len() <= gi {
-                finding_groups.resize_with(gi + 1, Vec::new);
-            }
-            finding_groups[gi].extend(fs);
-        }
-        out_units.extend(o.units.0);
-        ctx.stats.nodes += o.alloc.nodes;
-        ctx.stats.bytes += o.alloc.bytes;
-        ctx.errors.extend(o.errors);
-        if let Some(delta) = o.delta {
-            ctx.symbols.adopt(&delta);
-        }
-        if let Some(data) = o.data {
-            worker_data.push(data);
-        }
+    let failures = group_major(
+        runs.iter_mut()
+            .map(|r| std::mem::take(&mut r.failures_by_group)),
+    );
+    let findings = group_major(
+        runs.iter_mut()
+            .map(|r| std::mem::take(&mut r.findings_by_group)),
+    );
+    let mut out_units = Vec::with_capacity(runs.len());
+    let mut worker_data = Vec::with_capacity(runs.len());
+    for r in runs {
+        out_units.push(r.unit);
+        ctx.stats.nodes += r.alloc.nodes;
+        ctx.stats.bytes += r.alloc.bytes;
+        ctx.errors.extend(r.errors);
+        ctx.symbols.adopt(&r.delta);
+        worker_data.push(r.data);
     }
-    // The merged table now holds what every chunk wrote at its periods;
+    // The merged table now holds what every unit wrote at its periods;
     // the backend reads it at the final period, like after a sequential run.
     let (info_plan, periods) = info_periods(&make_phases(), plan);
     ctx.symbols.set_info_plan(info_plan);
     ctx.symbols.set_period(periods.last().copied().unwrap_or(0));
-    // Ranges stay consumed even when a chunk panicked mid-allocation: the
+    // Ranges stay consumed even when a unit panicked mid-allocation: the
     // next batch must not reuse a range a dead fork may have touched.
-    ctx.advance_watermarks(
-        id_floor + chunk_count as u64 * ID_STRIDE,
-        heap_floor + chunk_count as u64 * HEAP_STRIDE,
-    );
+    ctx.advance_watermarks(batch.end.id_floor, batch.end.heap_floor);
     ParallelRun {
         units: out_units,
         stats,
-        failures: failure_groups.into_iter().flatten().collect(),
-        findings: finding_groups.into_iter().flatten().collect(),
-        effective_jobs: jobs,
+        failures,
+        findings,
+        effective_jobs: batch.effective_jobs,
         worker_data,
-        faults: chunk_faults,
+        faults: unit_faults,
     }
 }
 
-/// Allocator floors for one [`run_units_isolated`] batch — the caller (a
-/// compile session) owns the cursors so ranges stay disjoint across *many*
-/// batches on one long-lived frontend context, not just within one batch.
-#[derive(Clone, Copy, Debug)]
+/// Flattens per-unit, per-group lists group-major, then unit order.
+fn group_major<T>(per_unit: impl Iterator<Item = Vec<Vec<T>>>) -> Vec<T> {
+    let mut groups: Vec<Vec<T>> = Vec::new();
+    for by_group in per_unit {
+        for (gi, items) in by_group.into_iter().enumerate() {
+            if groups.len() <= gi {
+                groups.resize_with(gi + 1, Vec::new);
+            }
+            groups[gi].extend(items);
+        }
+    }
+    groups.into_iter().flatten().collect()
+}
+
+/// Allocator floors for one [`run_units_isolated`] batch. A caller that
+/// runs *many* batches on one long-lived origin context (a compile
+/// session) starts each batch at the previous batch's
+/// [`IsolatedBatch::end`], so ranges stay disjoint across batches, not
+/// just within one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IsolatedLayout {
     /// First symbol id available to this batch's forks. Must clear the
     /// origin table's [`mini_ir::SymbolTable::id_ceiling`] **and** the used
     /// range of every delta a previous batch produced that is still live
     /// (spliced into rebuilt tables).
     pub sym_floor: u32,
-    /// Primary-shard (and overflow-shard) symbol capacity per unit.
-    pub sym_shard_capacity: u32,
-    /// First node id for this batch; unit `i` allocates from
-    /// `id_floor + i × UNIT_ID_STRIDE`.
+    /// First node id for this batch; each unit gets its own range above it.
     pub id_floor: u64,
-    /// First modelled heap address; strided like `id_floor`.
+    /// First modelled heap address; ranged per unit like `id_floor`.
     pub heap_floor: u64,
 }
 
@@ -758,7 +551,7 @@ pub struct IsolatedLayout {
 /// everything a compile session needs to cache the unit — the lowered tree,
 /// per-group counters and checker findings, and the symbol-table delta to
 /// splice when assembling a full program around cached neighbours.
-pub struct IsolatedUnitRun {
+pub struct IsolatedUnitRun<D = ()> {
     /// The lowered unit (tree lives in the unit's own arena; after the
     /// batch returns the calling thread is its sole owner).
     pub unit: CompilationUnit,
@@ -770,42 +563,65 @@ pub struct IsolatedUnitRun {
     /// phases were in the plan).
     pub findings_by_group: Vec<Vec<Finding>>,
     /// New symbols + mutations of pre-fork symbols this unit's pipeline
-    /// made. **Not** adopted anywhere by this call — the origin context
-    /// stays byte-for-byte untouched.
+    /// made. **Not** adopted anywhere by [`run_units_isolated`] — the
+    /// origin context stays byte-for-byte untouched.
     pub delta: mini_ir::SymbolDelta,
+    /// The unit's primary symbol shard as `(first id, capacity)`. A delta
+    /// whose [`mini_ir::SymbolDelta::max_id_end`] lies past the shard's
+    /// end chained overflow shards, interleaved with its siblings'.
+    pub sym_slot: (u32, u32),
+    /// Nodes and bytes the unit's transform pipeline allocated (the import
+    /// copy excluded).
+    pub alloc: mini_ir::AllocStats,
     /// Diagnostics the unit's pipeline reported.
     pub errors: Vec<mini_ir::Diagnostic>,
+    /// What the instrumentation's `finish` returned for this unit.
+    pub data: D,
+}
+
+/// The outcome of one [`run_units_isolated`] batch.
+pub struct IsolatedBatch<D = ()> {
+    /// One outcome per input unit, in input order: the unit's run, or the
+    /// fault its isolation fence caught.
+    pub runs: Vec<Result<IsolatedUnitRun<D>, InternalFault>>,
+    /// Worker threads used: `jobs` clamped to `1..=units` (1 for an empty
+    /// batch).
+    pub effective_jobs: usize,
+    /// The floors a following batch on the same origin starts from: past
+    /// every unit's primary shard and node/heap range (a faulted unit's
+    /// ranges stay consumed) and past every overflow shard a clean unit
+    /// chained.
+    pub end: IsolatedLayout,
 }
 
 /// Compiles every unit **in full isolation** — one fork, one private arena,
-/// one phase-list instance and one pipeline per *unit* (a chunk of exactly
-/// one) — and returns the per-unit outcomes **without adopting anything**
-/// into `ctx`. This is the executor of the incremental compile session: the
-/// session caches each outcome keyed by content hashes and splices deltas
-/// itself when assembling a program, so the shared frontend context must
-/// stay pristine (phase mutations would otherwise leak into the symbol
-/// state the *typer* sees on later edits).
+/// one phase-list instance and one pipeline per unit — and returns the
+/// per-unit outcomes **without adopting anything** into `ctx`. This is the
+/// one fork mechanism: the incremental compile session caches each
+/// outcome keyed by content hashes and splices deltas itself (the shared
+/// frontend context must stay pristine, or phase mutations would leak into
+/// the symbol state the *typer* sees on later edits), and
+/// [`run_units_parallel`] folds the outcomes into its context at
+/// `jobs ≥ 2`.
 ///
-/// `jobs` worker threads claim units through an atomic index exactly like
-/// [`run_units_parallel`]; with `jobs <= 1` the same per-unit chunks run on
-/// the calling thread. Because every per-unit input (fork floors, loans) is
-/// derived from the unit index, the outcome vector is byte-identical across
-/// `jobs` values.
+/// `jobs` worker threads (clamped to `1..=units`) claim units through an
+/// atomic index; with one, the units run on the calling thread. Because
+/// every per-unit input (fork floors, loan) is derived from the unit
+/// index, the outcomes are byte-identical across `jobs` values.
 ///
-/// Each per-unit chunk runs inside the same `catch_unwind` fence as the
-/// batch executor: a unit whose pipeline panics yields `Err(fault)` in its
-/// slot — attributed to the unit and phase — while every sibling unit's
-/// `Ok` outcome is intact and cacheable. `controls` threads fault
-/// injection and the compile deadline into each unit's pipeline.
+/// Each unit runs inside a `catch_unwind` fence: a unit whose pipeline
+/// panics yields `Err(fault)` in its slot — attributed to the unit and
+/// phase — while every sibling unit's `Ok` outcome is intact and
+/// cacheable. `controls` threads fault injection and the compile deadline
+/// into each unit's pipeline.
 ///
 /// # Panics
 ///
-/// Panics if `make_phases` disagrees with `plan` in a way the per-unit
-/// fence cannot catch (pipeline construction runs inside it, so in
-/// practice only scheduler-infrastructure failures propagate), or if the
-/// layout's symbol floor is below the origin table's id ceiling.
+/// Panics if the layout's symbol floor is below the origin table's id
+/// ceiling or leaves no room for one shard per unit, or if scheduler
+/// infrastructure fails (pipeline construction runs inside the fence).
 #[allow(clippy::too_many_arguments)]
-pub fn run_units_isolated<F>(
+pub fn run_units_isolated<F, I>(
     ctx: &Ctx,
     make_phases: &F,
     plan: &PhasePlan,
@@ -813,141 +629,128 @@ pub fn run_units_isolated<F>(
     units: &[CompilationUnit],
     jobs: usize,
     check: bool,
+    instr: &I,
     layout: IsolatedLayout,
     controls: &RunControls,
-) -> Vec<Result<IsolatedUnitRun, InternalFault>>
+) -> IsolatedBatch<I::Data>
 where
     F: Fn() -> Vec<Box<dyn MiniPhase>> + Sync,
+    I: WorkerInstrumentation,
 {
     let n = units.len();
+    let jobs = jobs.clamp(1, n.max(1));
     if n == 0 {
-        return Vec::new();
+        return IsolatedBatch {
+            runs: Vec::new(),
+            effective_jobs: jobs,
+            end: layout,
+        };
     }
+    // Symbol-id layout: `n` primary shards from the floor, then an overflow
+    // region where unit `i`'s chained shards live at
+    // `overflow_base + (k·n + i)·cap` — disjoint from every primary and
+    // from every other unit's chain by construction. The capacity is
+    // capped so primaries plus one full overflow round always fit in the
+    // remaining u32 space; symbol-heavy units keep chaining beyond that
+    // until the id domain truly runs out (which panics with a clear
+    // message in the allocator, not a shard-overflow abort).
     let n_u32 = n as u32;
-    let cap = layout
-        .sym_shard_capacity
-        .max(1)
-        .min((u32::MAX - layout.sym_floor) / (n_u32 * 2).max(1));
-    assert!(cap > 0, "symbol id space exhausted below the session floor");
+    let room = (u32::MAX - layout.sym_floor) / (n_u32 * 2);
+    assert!(
+        room > 0,
+        "symbol id space exhausted: no room for one shard per unit above the batch floor"
+    );
+    let cap = SYM_SHARD_CAPACITY.min(room);
     let overflow_base = layout.sym_floor + n_u32 * cap;
-    let mut jobs_slots: Vec<Mutex<Option<ChunkJob<'_>>>> = Vec::with_capacity(n);
-    for (i, u) in units.iter().enumerate() {
-        let table = ctx.symbols.fork_for_worker(
-            layout.sym_floor + i as u32 * cap,
-            cap,
-            ShardGrowth {
-                next_start: overflow_base.saturating_add(i as u32 * cap),
-                step: n_u32 * cap,
-                capacity: cap,
-            },
-        );
-        jobs_slots.push(Mutex::new(Some(ChunkJob {
-            loans: vec![UnitLoan {
-                name: &u.name,
-                tree: &u.tree,
-            }],
-            table,
-            id_floor: layout.id_floor + i as u64 * ID_STRIDE,
-            heap_floor: layout.heap_floor + i as u64 * HEAP_STRIDE,
-            unit_base: i,
-        })));
-    }
+    let job_slots: Vec<Mutex<Option<UnitJob<'_>>>> = units
+        .iter()
+        .enumerate()
+        .map(|(i, u)| {
+            let start = layout.sym_floor + i as u32 * cap;
+            let table = ctx.symbols.fork_for_worker(
+                start,
+                cap,
+                ShardGrowth {
+                    next_start: overflow_base.saturating_add(i as u32 * cap),
+                    step: n_u32 * cap,
+                    capacity: cap,
+                },
+            );
+            Mutex::new(Some(UnitJob {
+                loan: UnitLoan {
+                    name: &u.name,
+                    tree: &u.tree,
+                },
+                table,
+                sym_slot: (start, cap),
+                id_floor: layout.id_floor + i as u64 * ID_STRIDE,
+                heap_floor: layout.heap_floor + i as u64 * HEAP_STRIDE,
+            }))
+        })
+        .collect();
+    let outcome_slots: Vec<Mutex<Option<UnitHandoff<I::Data>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
+    let next_unit = AtomicUsize::new(0);
     let ir_options = ctx.options;
-    let take_job = |i: usize| {
-        jobs_slots[i]
+    let claim_loop = || loop {
+        let i = next_unit.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let job = job_slots[i]
             .lock()
             .expect("unit job mutex")
             .take()
-            .expect("each unit is compiled exactly once")
+            .expect("the atomic index hands each unit to exactly one worker");
+        let run = compile_unit_job(
+            i,
+            job,
+            ir_options,
+            make_phases,
+            plan,
+            opts,
+            check,
+            instr,
+            controls,
+        );
+        *outcome_slots[i].lock().expect("unit outcome mutex") = Some(UnitHandoff(run));
     };
-
-    let mut outcomes: Vec<ChunkOutcome<()>> = Vec::with_capacity(n);
-    if jobs <= 1 {
-        for i in 0..n {
-            let job = take_job(i);
-            outcomes.push(compile_chunk(
-                i,
-                job,
-                ir_options,
-                make_phases,
-                plan,
-                opts,
-                check,
-                &NoInstrumentation,
-                controls,
-            ));
-        }
+    if jobs == 1 {
+        claim_loop();
     } else {
-        let outcome_slots: Vec<Mutex<Option<ChunkOutcome<()>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next_unit = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs.min(n))
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let i = next_unit.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let job = take_job(i);
-                        let outcome = compile_chunk(
-                            i,
-                            job,
-                            ir_options,
-                            make_phases,
-                            plan,
-                            opts,
-                            check,
-                            &NoInstrumentation,
-                            controls,
-                        );
-                        *outcome_slots[i].lock().expect("unit outcome mutex") = Some(outcome);
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (0..jobs).map(|_| scope.spawn(claim_loop)).collect();
             for h in handles {
-                // Unit panics are caught inside `compile_chunk`; a join
+                // Unit panics are caught inside `compile_unit_job`; a join
                 // error means the claim loop itself broke.
-                h.join().expect("isolated unit scheduler panicked");
+                h.join().expect("unit scheduler panicked");
             }
         });
-        outcomes.extend(outcome_slots.into_iter().map(|m| {
+    }
+
+    let runs: Vec<Result<IsolatedUnitRun<I::Data>, InternalFault>> = outcome_slots
+        .into_iter()
+        .map(|m| {
             m.into_inner()
                 .expect("unit outcome mutex")
                 .expect("every unit index below the count was compiled")
-        }));
-    }
-
-    outcomes
-        .into_iter()
-        .map(|o| {
-            let ChunkOutcome {
-                units,
-                grid,
-                failures,
-                findings,
-                delta,
-                errors,
-                fault,
-                ..
-            } = o;
-            if let Some(fault) = fault {
-                return Err(fault);
-            }
-            let mut units = units.0;
-            assert_eq!(units.len(), 1, "isolated chunks hold exactly one unit");
-            Ok(IsolatedUnitRun {
-                unit: units.pop().expect("length checked above"),
-                // `run_units_recorded` fills member_transforms per grid row,
-                // so row[0] is the complete per-group counter set.
-                stats_by_group: grid.iter().map(|row| row[0]).collect(),
-                failures_by_group: failures,
-                findings_by_group: findings,
-                delta: delta.expect("non-faulted chunks carry a delta"),
-                errors,
-            })
+                .0
         })
-        .collect()
+        .collect();
+    let sym_end = runs
+        .iter()
+        .filter_map(|r| r.as_ref().ok())
+        .map(|r| r.delta.max_id_end())
+        .fold(overflow_base, u32::max);
+    IsolatedBatch {
+        runs,
+        effective_jobs: jobs,
+        end: IsolatedLayout {
+            sym_floor: sym_end,
+            id_floor: layout.id_floor + n as u64 * ID_STRIDE,
+            heap_floor: layout.heap_floor + n as u64 * HEAP_STRIDE,
+        },
+    }
 }
 
 #[cfg(test)]
@@ -1009,6 +812,7 @@ mod tests {
                 jobs,
                 false,
                 &NoInstrumentation,
+                &RunControls::default(),
             );
             let printed = run
                 .units
@@ -1046,6 +850,7 @@ mod tests {
                 4,
                 false,
                 &NoInstrumentation,
+                &RunControls::default(),
             );
             assert_eq!(run.units.len(), 5);
             match &first {
@@ -1080,17 +885,18 @@ mod tests {
             16,
             false,
             &NoInstrumentation,
+            &RunControls::default(),
         );
         assert_eq!(run.units.len(), 2);
         assert_eq!(run.effective_jobs, 2, "clamped to one worker per unit");
-        assert_eq!(run.worker_data.len(), 2, "one chunk per unit");
+        assert_eq!(run.worker_data.len(), 2, "one entry per unit");
     }
 
     #[test]
     fn zero_jobs_clamp_to_sequential() {
         // `CompilerOptions { jobs: 0, .. }` built by struct literal
         // bypasses the driver's `with_jobs` clamp; the executor must clamp
-        // at the use site rather than feed 0 into the chunk math.
+        // at the use site rather than feed 0 into the shard math.
         let mut ctx = Ctx::new();
         let units = make_units(&mut ctx, 3);
         let ps = phases();
@@ -1104,13 +910,15 @@ mod tests {
             0,
             false,
             &NoInstrumentation,
+            &RunControls::default(),
         );
         assert_eq!(run.units.len(), 3);
         assert_eq!(run.effective_jobs, 1, "jobs=0 runs sequentially");
     }
 
-    /// Allocates a fresh symbol for every literal it sees — a symbol-heavy
-    /// phase that overflows deliberately tiny shards.
+    /// Mints `SYM_SHARD_CAPACITY / 8 + 1` fresh symbols for every literal
+    /// of an odd-numbered unit (`make_units` numbers literals `u·100 + i`):
+    /// ten literals overflow the unit's primary shard.
     struct SymHungry;
     impl PhaseInfo for SymHungry {
         fn name(&self) -> &str {
@@ -1122,30 +930,38 @@ mod tests {
             NodeKindSet::of(NodeKind::Literal)
         }
         fn transform_literal(&mut self, ctx: &mut Ctx, tree: &TreeRef) -> TreeRef {
-            let root = ctx.symbols.builtins().root_pkg;
-            let name = ctx.fresh_name("hungry");
-            ctx.symbols
-                .new_term(root, name, mini_ir::Flags::EMPTY, mini_ir::Type::Int);
+            let TreeKind::Literal { value } = tree.kind() else {
+                return tree.clone();
+            };
+            if value.as_int().is_some_and(|v| (v / 100) % 2 == 1) {
+                let root = ctx.symbols.builtins().root_pkg;
+                for _ in 0..=SYM_SHARD_CAPACITY / 8 {
+                    let name = ctx.fresh_name("hungry");
+                    ctx.symbols
+                        .new_term(root, name, mini_ir::Flags::EMPTY, mini_ir::Type::Int);
+                }
+            }
             tree.clone()
         }
+    }
+
+    fn hungry() -> Vec<Box<dyn MiniPhase>> {
+        vec![Box::new(SymHungry)]
     }
 
     #[test]
     fn shard_overflow_chains_and_stays_deterministic() {
         // Regression for the hard `worker symbol shard overflow` abort: a
-        // chunk allocating more symbols than its stride must chain
+        // unit allocating more symbols than its shard capacity must chain
         // overflow shards and still merge byte-identically to sequential.
-        let hungry = || -> Vec<Box<dyn MiniPhase>> { vec![Box::new(SymHungry)] };
-        let tiny = ParallelTuning {
-            chunks_per_worker: 1,
-            sym_shard_capacity: 2, // 10 literals per unit ⇒ 5 overflow shards per chunk
-        };
-        let run = |jobs: usize| -> (Vec<String>, ExecStats, usize) {
+        let run = |jobs: usize| -> (Vec<String>, ExecStats, usize, bool) {
             let mut ctx = Ctx::new();
-            let units = make_units(&mut ctx, 6);
+            let units = make_units(&mut ctx, 5);
+            let overflow_base =
+                ctx.symbols.id_ceiling() + SYM_BASE_HEADROOM + 5 * SYM_SHARD_CAPACITY;
             let ps = hungry();
             let plan = build_plan(&ps, &PlanOptions::default()).unwrap();
-            let run = run_units_parallel_tuned(
+            let run = run_units_parallel(
                 &mut ctx,
                 &hungry,
                 &plan,
@@ -1154,7 +970,7 @@ mod tests {
                 jobs,
                 false,
                 &NoInstrumentation,
-                tiny,
+                &RunControls::default(),
             );
             let printed: Vec<String> = run
                 .units
@@ -1168,15 +984,69 @@ mod tests {
             for id in ctx.symbols.ids() {
                 let _ = ctx.symbols.sym(id);
             }
-            (printed, run.stats, ctx.symbols.len())
+            let chained = ids.last().is_some_and(|&id| id >= overflow_base);
+            (printed, run.stats, ctx.symbols.len(), chained)
         };
-        let (seq, seq_stats, seq_len) = run(1);
+        let (seq, seq_stats, seq_len, _) = run(1);
         for jobs in [2, 3] {
-            let (par, par_stats, par_len) = run(jobs);
+            let (par, par_stats, par_len, chained) = run(jobs);
+            assert!(
+                chained,
+                "a hungry unit chained an overflow shard at jobs={jobs}"
+            );
             assert_eq!(seq, par, "trees diverged at jobs={jobs}");
             assert_eq!(seq_stats, par_stats, "stats diverged at jobs={jobs}");
             assert_eq!(seq_len, par_len, "symbol counts diverged at jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn isolated_batch_reports_slots_and_end_floors() {
+        // The end floors clear every primary shard, every overflow shard a
+        // unit chained, and every node/heap range, whatever `jobs` is.
+        let mut ctx = Ctx::new();
+        let units = make_units(&mut ctx, 3);
+        let ps = hungry();
+        let plan = build_plan(&ps, &PlanOptions::default()).unwrap();
+        let layout = IsolatedLayout {
+            sym_floor: ctx.symbols.id_ceiling() + 7,
+            id_floor: 1 << 44,
+            heap_floor: 1 << 44,
+        };
+        let ends: Vec<IsolatedLayout> = [1, 2]
+            .into_iter()
+            .map(|jobs| {
+                let batch = run_units_isolated(
+                    &ctx,
+                    &hungry,
+                    &plan,
+                    FusionOptions::default(),
+                    &units,
+                    jobs,
+                    false,
+                    &NoInstrumentation,
+                    layout,
+                    &RunControls::default(),
+                );
+                assert_eq!(batch.effective_jobs, jobs);
+                let mut max_end = 0;
+                for (i, run) in batch.runs.iter().enumerate() {
+                    let run = run.as_ref().expect("no unit faults");
+                    let cap = SYM_SHARD_CAPACITY;
+                    assert_eq!(run.sym_slot, (layout.sym_floor + i as u32 * cap, cap));
+                    let end = run.delta.max_id_end();
+                    let overflowed = end > run.sym_slot.0 + cap;
+                    assert_eq!(overflowed, i == 1, "only the hungry unit 1 chains");
+                    max_end = max_end.max(end);
+                }
+                assert!(max_end > layout.sym_floor + 3 * SYM_SHARD_CAPACITY);
+                assert_eq!(batch.end.sym_floor, max_end);
+                batch.end
+            })
+            .collect();
+        assert_eq!(ends[0], ends[1], "the end floors do not depend on jobs");
+        assert_eq!(ends[0].id_floor, layout.id_floor + 3 * ID_STRIDE);
+        assert_eq!(ends[0].heap_floor, layout.heap_floor + 3 * HEAP_STRIDE);
     }
 
     /// A phase whose postcondition rejects negative literals — used to
@@ -1234,6 +1104,7 @@ mod tests {
                 jobs,
                 true,
                 &NoInstrumentation,
+                &RunControls::default(),
             );
             run.failures.iter().map(|f| f.to_string()).collect()
         };

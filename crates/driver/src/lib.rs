@@ -76,9 +76,10 @@ impl fmt::Display for Mode {
 /// the fault-tolerance layer. All default to `None` (unbudgeted), so the
 /// paper-exact measurement configurations are untouched.
 ///
-/// * `deadline` is checked at **group boundaries** of the phase-major loop
-///   (per worker chunk in parallel runs); a breach abandons the remaining
-///   groups and surfaces as [`CompileError::Budget`].
+/// * `deadline` is checked at **group and unit boundaries** of the
+///   phase-major loop (per unit in parallel runs and sessions); a breach
+///   abandons the remaining groups and surfaces as
+///   [`CompileError::Budget`].
 /// * `max_tree_depth` / `max_tree_size` guard every node construction at
 ///   [`mini_ir::Ctx::mk`] (one latched `"budget"` diagnostic per compile).
 /// * `cache_bytes` caps the [`CompileSession`] artifact cache; crossing it
@@ -113,14 +114,14 @@ pub struct CompilerOptions {
     /// Worker threads for the transform pipeline. `1` (the default) runs
     /// the sequential phase-major loop; higher values schedule unit-level
     /// parallel compilation ([`miniphase::parallel`]): worker threads
-    /// claim interleaved unit chunks through an atomic index, each chunk
-    /// compiling end-to-end with a private tree arena and an O(1)
-    /// copy-on-write symbol-table fork, and results merge back
-    /// deterministically in unit order — output trees,
-    /// [`miniphase::ExecStats`] and dynamic-checker diagnostics are
-    /// byte-identical to `jobs = 1` (proptest-enforced). The checker
-    /// (`check`) runs per worker chunk and **no longer forces sequential
-    /// execution**; verified production runs keep their parallelism.
+    /// claim units through an atomic index, each unit compiling
+    /// end-to-end with a private tree arena and an O(1) copy-on-write
+    /// symbol-table fork, and results merge back deterministically in unit
+    /// order — output trees, [`miniphase::ExecStats`] and dynamic-checker
+    /// diagnostics are byte-identical to `jobs = 1` (proptest-enforced).
+    /// The checker (`check`) runs per unit and **no longer forces
+    /// sequential execution**; verified production runs keep their
+    /// parallelism.
     /// Execution sites must read [`CompilerOptions::effective_jobs`], which
     /// clamps struct-literal zeros.
     pub jobs: usize,
@@ -211,8 +212,7 @@ impl CompilerOptions {
 
     /// Returns a copy with the dynamic tree checker switched on or off
     /// (§6.3; ≈1.5×). Checked runs keep their `jobs` parallelism — the
-    /// checker replays per worker chunk with deterministic failure
-    /// ordering.
+    /// checker replays per unit with deterministic failure ordering.
     pub fn with_check(mut self, on: bool) -> CompilerOptions {
         self.check = on;
         self
@@ -241,7 +241,7 @@ impl CompilerOptions {
     /// bypass [`CompilerOptions::with_jobs`]'s clamp with `jobs: 0`, so
     /// every execution site must go through this accessor rather than read
     /// `jobs` raw — a zero must select the sequential path, not reach the
-    /// parallel chunk math.
+    /// parallel shard math.
     pub fn effective_jobs(&self) -> usize {
         self.jobs.max(1)
     }
@@ -344,7 +344,7 @@ pub enum CompileError {
     /// A panic escaped a phase, the checker or the scheduler and was caught
     /// at an isolation fence — the structured form of "internal compiler
     /// error". One unit's panic fails that unit's compile; it never tears
-    /// down the process or a sibling chunk.
+    /// down the process or a sibling unit.
     Internal {
         /// The unit whose pipeline panicked, when the active-site marker
         /// could attribute it (`None` for pre-unit scheduler panics).
@@ -472,10 +472,10 @@ fn analysis_prefix(lint: bool, dce: bool) -> Vec<Box<dyn MiniPhase>> {
     prefix
 }
 
-/// Builds the per-worker phase-list factory matching [`standard_plan`] for
-/// the same `lint`/`dce` settings — executors construct one phase list per
-/// chunk.
-pub(crate) fn phase_factory(
+/// Builds the phase-list factory matching [`standard_plan`] for the same
+/// `lint`/`dce` settings: the analysis prefix, then the standard pipeline.
+/// Executors construct one phase list per unit.
+pub fn phase_factory(
     lint: bool,
     dce: bool,
 ) -> impl Fn() -> Vec<Box<dyn MiniPhase>> + Sync + Send + Copy {
@@ -526,10 +526,10 @@ pub(crate) fn compile_instrumented<I: WorkerInstrumentation>(
         return Err(diagnostics_error(std::mem::take(&mut ctx.errors)));
     }
 
-    // Transformation pipeline — always through the controlled executor,
-    // whose per-chunk (and, at `jobs = 1`, whole-batch) `catch_unwind`
-    // fence turns phase/checker panics into `CompileError::Internal` with
-    // unit attribution instead of unwinding out of this function.
+    // Transformation pipeline — always through the batch executor, whose
+    // per-unit (and, at `jobs = 1`, whole-batch) `catch_unwind` fence
+    // turns phase/checker panics into `CompileError::Internal` with unit
+    // attribution instead of unwinding out of this function.
     let (phases, plan) = standard_plan(opts)?;
     drop(phases); // each worker builds its own instances via the factory
     let groups = plan.group_count();
@@ -538,7 +538,7 @@ pub(crate) fn compile_instrumented<I: WorkerInstrumentation>(
         faults: None,
         deadline,
     };
-    let run = miniphase::run_units_parallel_controlled(
+    let run = miniphase::run_units_parallel(
         &mut ctx,
         &phase_factory(opts.lint, opts.dce),
         &plan,
@@ -547,7 +547,6 @@ pub(crate) fn compile_instrumented<I: WorkerInstrumentation>(
         opts.effective_jobs(),
         opts.check,
         instr,
-        miniphase::ParallelTuning::default(),
         &controls,
     );
     let transforms = tr_start.elapsed();

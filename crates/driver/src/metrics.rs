@@ -169,13 +169,13 @@ impl Instrumentation {
     }
 }
 
-/// Per-worker simulator fan-out for measured runs: each worker
-/// gets its own GC simulator (installed as that thread's heap sink) and
-/// cache hierarchy (installed as that worker context's access sink), and
-/// the counters fan back in worker order — which is unit order, since
-/// workers own contiguous unit chunks — and merge by summation. Each
-/// worker's simulators model that worker's private nursery and cache; the
-/// summed counters are the fleet totals.
+/// Per-unit simulator fan-out for measured runs: at `jobs ≥ 2` each unit
+/// gets its own GC simulator (installed as the claiming thread's heap
+/// sink) and cache hierarchy (installed as the unit context's access
+/// sink), and the counters fan back in unit order and merge by summation.
+/// Each unit's simulators model a private nursery and cache; the summed
+/// counters are the fleet totals. At `jobs = 1` one pair covers the whole
+/// batch.
 struct PerWorkerSims {
     gc: bool,
     cache: bool,
@@ -252,8 +252,9 @@ fn merge_cache(into: &mut Counters, from: &Counters) {
 ///
 /// The compile goes through the same one-shot driver as
 /// [`crate::compile_sources`] — same fenced executor, deadline and error
-/// classification — with one simulator pair installed per transform
-/// worker; the per-worker counters are summed in unit order.
+/// classification — with one simulator pair installed per unit at
+/// `jobs ≥ 2` (one for the batch at `jobs = 1`); the counters are summed
+/// in unit order.
 ///
 /// # Errors
 ///

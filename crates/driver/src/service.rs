@@ -6,7 +6,7 @@
 //! The service is the outermost of three concentric fault rings:
 //!
 //! 1. **Per-unit fences** (PR 6, [`miniphase`]): a panic inside one unit's
-//!    pipeline is caught at the chunk fence and becomes a structured
+//!    pipeline is caught at its isolation fence and becomes a structured
 //!    [`CompileError::Internal`] for that unit only.
 //! 2. **Per-compile degradation** ([`CompileSession`]): a compile whose
 //!    workers panicked retries its faulted units sequentially at

@@ -139,7 +139,7 @@
 //!
 //! * **Deterministic fault injection** ([`miniphase::FaultPlan`], armed
 //!   via [`CompileSession::inject_faults`]). A seeded plan fires panics at
-//!   chosen `(unit, group)` sites or chunk claims, or corrupts a chosen
+//!   chosen `(unit, group)` sites or unit claims, or corrupts a chosen
 //!   cached artifact's fingerprint (detected as an ordinary key mismatch —
 //!   the unit silently recompiles, counted in
 //!   [`CacheStats::corrupted_artifacts`]). `tests/fault_recovery.rs` pins
@@ -156,24 +156,23 @@ use mini_ir::fingerprint::{binding_fingerprint, export_interface_hash, source_fi
 use mini_ir::{Ctx, SymbolDelta, SymbolId, SymbolTable, TreeRef};
 use miniphase::{
     sort_findings, CheckFailure, CompilationUnit, ExecStats, FaultPlan, Finding, IsolatedLayout,
-    IsolatedUnitRun, RunControls, UNIT_HEAP_STRIDE, UNIT_ID_STRIDE,
+    IsolatedUnitRun, NoInstrumentation, RunControls,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// First symbol id the session's per-unit pipeline forks may use. The
-/// pristine frontend table allocates contiguously from the bottom; a
-/// frontend that ever reached this many symbols would make the fork guard
-/// panic loudly rather than corrupt ids.
-const SESSION_SYM_FLOOR: u32 = 1 << 20;
-
-/// Symbol capacity of each per-unit shard (overflow shards chain beyond).
-const SESSION_SHARD_CAPACITY: u32 = 1 << 16;
-
-/// First node id / heap address handed to pipeline forks — far above
-/// anything the frontend context will ever allocate itself.
-const SESSION_NODE_FLOOR: u64 = 1 << 44;
+/// The floors of a fresh frontend's first pipeline batch. Symbol ids start
+/// at 2²⁰: the pristine frontend table allocates contiguously from the
+/// bottom, and a frontend that ever reached this many symbols would make
+/// the fork guard panic loudly rather than corrupt ids. Node ids and heap
+/// addresses start at 2⁴⁴, far above anything the frontend context will
+/// ever allocate itself.
+const FIRST_FLOORS: IsolatedLayout = IsolatedLayout {
+    sym_floor: 1 << 20,
+    id_floor: 1 << 44,
+    heap_floor: 1 << 44,
+};
 
 /// Symbol-id high-water mark: when the shard cursor passes this, the next
 /// `compile()` retires the whole id space by rebuilding the frontend (one
@@ -340,11 +339,10 @@ pub struct CompileSession {
     staged: BTreeMap<String, Staged>,
     /// Top-level symbol → defining unit, for resolving recorded dep roots.
     owner_unit: HashMap<SymbolId, String>,
-    /// Next free symbol id for pipeline forks (monotonic across compiles;
-    /// must clear every live cached delta's range).
-    sym_cursor: u32,
-    node_cursor: u64,
-    heap_cursor: u64,
+    /// Where the next pipeline batch's forks start: the symbol id floor
+    /// (monotonic across compiles; must clear every live cached delta's
+    /// range) and the node-id and heap floors.
+    floors: IsolatedLayout,
     /// Symbols below this index are builtins (created by `SymbolTable::new`
     /// before any unit) — the only symbols outside its own that a unit's
     /// pipeline may mutate.
@@ -383,9 +381,7 @@ impl CompileSession {
             units: BTreeMap::new(),
             staged: BTreeMap::new(),
             owner_unit: HashMap::new(),
-            sym_cursor: SESSION_SYM_FLOOR,
-            node_cursor: SESSION_NODE_FLOOR,
-            heap_cursor: SESSION_NODE_FLOOR,
+            floors: FIRST_FLOORS,
             builtin_len,
             stats: CacheStats::default(),
             poisoned: false,
@@ -412,7 +408,7 @@ impl CompileSession {
 
     /// Arms deterministic fault injection: every subsequent
     /// [`CompileSession::compile`] threads `plan` through the pipeline
-    /// (panic sites, chunk-claim exhaustion) and polls it for artifact
+    /// (panic sites, unit-claim exhaustion) and polls it for artifact
     /// corruption, until [`CompileSession::clear_faults`]. Injection is
     /// the test harness of the fault-tolerance layer — a production
     /// session never arms one.
@@ -537,7 +533,7 @@ impl CompileSession {
         if self.poisoned {
             // A failed compile left partial state: rebuild from scratch.
             self.rebuild_frontend();
-        } else if self.sym_cursor >= self.sym_high_water {
+        } else if self.floors.sym_floor >= self.sym_high_water {
             // Nearly exhausted symbol-id space: retire the whole id space
             // with a fresh frontend (ids reset too) rather than risk u32
             // wrap-around colliding with live cached deltas. Surfaced as
@@ -547,7 +543,7 @@ impl CompileSession {
             eprintln!(
                 "mini-driver session: symbol-id cursor {} crossed high water {}; \
                  retiring id space with a full frontend rebuild",
-                self.sym_cursor, self.sym_high_water
+                self.floors.sym_floor, self.sym_high_water
             );
             self.rebuild_frontend();
         }
@@ -627,8 +623,8 @@ impl CompileSession {
             let mut scratch = Ctx::worker(
                 SymbolTable::new(),
                 import_opts,
-                self.node_cursor,
-                self.heap_cursor,
+                self.floors.id_floor,
+                self.floors.heap_floor,
             );
             let mut remaining = Vec::with_capacity(dirty.len());
             for name in dirty {
@@ -643,7 +639,7 @@ impl CompileSession {
                 match store.lookup(&tenant, key, &mut scratch, &live) {
                     StoreLookup::Hit(art) => {
                         self.stats.shared_hits += 1;
-                        self.sym_cursor = self.sym_cursor.max(art.sym_range.1);
+                        self.floors.sym_floor = self.floors.sym_floor.max(art.sym_range.1);
                         let deps = self.dep_map(&name, typed);
                         let stamp = self.compile_seq;
                         let config_fp = self.config_fp;
@@ -672,8 +668,8 @@ impl CompileSession {
                 }
             }
             let (node_mark, heap_mark) = scratch.alloc_watermarks();
-            self.node_cursor = self.node_cursor.max(node_mark);
-            self.heap_cursor = self.heap_cursor.max(heap_mark);
+            self.floors.id_floor = self.floors.id_floor.max(node_mark);
+            self.floors.heap_floor = self.floors.heap_floor.max(heap_mark);
             dirty = remaining;
         }
 
@@ -685,44 +681,38 @@ impl CompileSession {
         drop(phases);
         let groups = plan.group_count();
         let tr_start = Instant::now();
-        let effective_jobs = self.opts.effective_jobs().min(dirty.len()).max(1);
+        let mut effective_jobs = 1;
         let mut retried_sequential = false;
         if !dirty.is_empty() {
             let inputs: Vec<CompilationUnit> = dirty
                 .iter()
                 .map(|n| CompilationUnit::new(n.clone(), retyped[n].tree.clone()))
                 .collect();
-            let layout = IsolatedLayout {
-                sym_floor: self.sym_cursor,
-                sym_shard_capacity: SESSION_SHARD_CAPACITY,
-                id_floor: self.node_cursor,
-                heap_floor: self.heap_cursor,
-            };
-            let runs = miniphase::run_units_isolated(
+            let batch = miniphase::run_units_isolated(
                 &self.front,
                 &phase_factory(self.opts.lint, self.opts.dce),
                 &plan,
                 self.opts.fusion,
                 &inputs,
-                effective_jobs,
+                self.opts.effective_jobs(),
                 self.opts.check,
-                layout,
+                &NoInstrumentation,
+                self.floors,
                 &controls,
             );
-            self.advance_cursors(dirty.len() as u32, &runs);
+            // Faulted units' ranges stay consumed too: a dead fork may
+            // have touched them, so they are never reused.
+            self.floors = batch.end;
+            effective_jobs = batch.effective_jobs;
 
             // Cache every clean sibling FIRST — a faulted or erroring unit
             // must not cost its siblings' finished work. Faulted units are
             // collected (in unit order) for the sequential retry below.
             let mut errors = Vec::new();
             let mut faulted: Vec<String> = Vec::new();
-            let cap = slot_span(layout.sym_floor, dirty.len() as u32);
-            for (i, (name, run)) in dirty.iter().zip(runs).enumerate() {
-                let slot = (layout.sym_floor + i as u32 * cap, cap);
+            for (name, run) in dirty.iter().zip(batch.runs) {
                 match run {
-                    Ok(r) if r.errors.is_empty() => {
-                        self.cache_artifact(name, &retyped[name], r, slot)
-                    }
+                    Ok(r) if r.errors.is_empty() => self.cache_artifact(name, &retyped[name], r),
                     Ok(r) => errors.extend(r.errors),
                     Err(_) => {
                         self.stats.worker_panics += 1;
@@ -744,13 +734,7 @@ impl CompileSession {
                     .iter()
                     .map(|n| CompilationUnit::new(n.clone(), retyped[n].tree.clone()))
                     .collect();
-                let retry_layout = IsolatedLayout {
-                    sym_floor: self.sym_cursor,
-                    sym_shard_capacity: SESSION_SHARD_CAPACITY,
-                    id_floor: self.node_cursor,
-                    heap_floor: self.heap_cursor,
-                };
-                let retry_runs = miniphase::run_units_isolated(
+                let retry = miniphase::run_units_isolated(
                     &self.front,
                     &phase_factory(self.opts.lint, self.opts.dce),
                     &plan,
@@ -758,16 +742,15 @@ impl CompileSession {
                     &retry_inputs,
                     1,
                     self.opts.check,
-                    retry_layout,
+                    &NoInstrumentation,
+                    self.floors,
                     &controls,
                 );
-                self.advance_cursors(faulted.len() as u32, &retry_runs);
-                let retry_cap = slot_span(retry_layout.sym_floor, faulted.len() as u32);
-                for (i, (name, run)) in faulted.iter().zip(retry_runs).enumerate() {
-                    let slot = (retry_layout.sym_floor + i as u32 * retry_cap, retry_cap);
+                self.floors = retry.end;
+                for (name, run) in faulted.iter().zip(retry.runs) {
                     match run {
                         Ok(r) if r.errors.is_empty() => {
-                            self.cache_artifact(name, &retyped[name], r, slot)
+                            self.cache_artifact(name, &retyped[name], r)
                         }
                         Ok(r) => errors.extend(r.errors),
                         Err(fault) => {
@@ -877,44 +860,11 @@ impl CompileSession {
         })
     }
 
-    /// Advances the session's symbol/node/heap cursors past everything a
-    /// just-finished isolated batch of `n` units may have consumed. Faulted
-    /// slots still consume their ranges — a dead fork may have touched
-    /// them, so they are never reused. The checked add is a backstop only —
-    /// the high-water check at the top of `compile()` retires the id space
-    /// long before this can overflow for any batch the floor's headroom
-    /// admits.
-    fn advance_cursors(
-        &mut self,
-        n: u32,
-        runs: &[Result<IsolatedUnitRun, miniphase::InternalFault>],
-    ) {
-        self.sym_cursor = runs
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .map(|r| r.delta.max_id_end())
-            .fold(
-                n.checked_mul(SESSION_SHARD_CAPACITY)
-                    .and_then(|span| self.sym_cursor.checked_add(span))
-                    .expect("session symbol-id space exhausted within a single batch"),
-                u32::max,
-            );
-        self.node_cursor += u64::from(n) * UNIT_ID_STRIDE;
-        self.heap_cursor += u64::from(n) * UNIT_HEAP_STRIDE;
-    }
-
     /// Caches one clean pipeline outcome as the unit's artifact (filtered
     /// delta, current compile stamp, modelled byte size), recording the
-    /// pipeline slot's symbol-id range, and publishes it to the shared
-    /// store when one is attached. `slot` is `(floor, capacity)` of the
-    /// unit's isolated fork shard.
-    fn cache_artifact(
-        &mut self,
-        name: &str,
-        typed: &mini_front::TypedUnit,
-        run: IsolatedUnitRun,
-        slot: (u32, u32),
-    ) {
+    /// symbol-id range from the unit's shard slot, and publishes it to the
+    /// shared store when one is attached.
+    fn cache_artifact(&mut self, name: &str, typed: &mini_front::TypedUnit, run: IsolatedUnitRun) {
         let deps = self.dep_map(name, typed);
         // The store key walks the whole typed tree; only a publish needs it.
         let key = self.shared.is_some().then(|| self.shared_key(name, typed));
@@ -931,7 +881,7 @@ impl CompileSession {
             ),
             "unit {name}'s pipeline mutated another unit's symbols"
         );
-        let (slot_floor, slot_cap) = slot;
+        let (slot_floor, slot_cap) = run.sym_slot;
         let sym_range = (slot_floor, delta.max_id_end().max(slot_floor));
         // Modelled artifact footprint: tree nodes dominate; 64 bytes is the
         // mean packed-node cost the allocator reports for the standard
@@ -1167,9 +1117,7 @@ impl CompileSession {
         self.builtin_len = front.symbols.len() as u32;
         self.front = front;
         self.owner_unit.clear();
-        self.sym_cursor = SESSION_SYM_FLOOR;
-        self.node_cursor = SESSION_NODE_FLOOR;
-        self.heap_cursor = SESSION_NODE_FLOOR;
+        self.floors = FIRST_FLOORS;
         for state in self.units.values_mut() {
             state.top_syms.clear();
             state.iface_hash = 0;
@@ -1177,15 +1125,6 @@ impl CompileSession {
         }
         self.poisoned = false;
     }
-}
-
-/// Per-slot symbol capacity of one isolated batch — must mirror
-/// `run_units_isolated`'s clamp exactly, since the session derives each
-/// unit's published `[floor, hi)` id range from it.
-fn slot_span(floor: u32, n: u32) -> u32 {
-    SESSION_SHARD_CAPACITY
-        .max(1)
-        .min((u32::MAX - floor) / (n * 2).max(1))
 }
 
 /// One unit's per-group lint findings, flattened into canonical order.

@@ -595,7 +595,7 @@ fn parallel_batch_runs_identically() {
 
 /// `CompilerOptions { jobs: 0, .. }` built by struct literal bypasses the
 /// `with_jobs` clamp; the driver must clamp at the use site
-/// (`effective_jobs()`) instead of feeding 0 into the chunk math.
+/// (`effective_jobs()`) instead of feeding 0 into the shard math.
 #[test]
 fn struct_literal_zero_jobs_runs_sequentially() {
     let opts = CompilerOptions {

@@ -1,8 +1,8 @@
 //! `metrics::measure` over the analysis prefix × parallelism matrix.
 //!
-//! A measured run at `jobs ≥ 2` must build every chunk's phase list with
-//! the same analysis prefix the plan was built with, inside the controlled
-//! executor's panic fence. Regression: it once handed the chunks the bare
+//! A measured run at `jobs ≥ 2` must build every unit's phase list with
+//! the same analysis prefix the plan was built with, inside the batch
+//! executor's panic fence. Regression: it once handed the workers the bare
 //! standard pipeline, so any lint or DCE plan panicked in the executor's
 //! plan/phase-list check. Every cell must measure without an escaped panic
 //! and report the same `ExecStats` as the sequential measured run and the

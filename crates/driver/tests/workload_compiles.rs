@@ -27,7 +27,7 @@ fn small_corpus_passes_the_tree_checker() {
 #[test]
 fn small_corpus_passes_the_tree_checker_in_parallel() {
     // `check = true` no longer downgrades to sequential execution: the
-    // checker replays per worker chunk and the run keeps its parallelism.
+    // checker replays per unit and the run keeps its parallelism.
     let w = generate(&WorkloadConfig::small());
     let opts = CompilerOptions::fused().with_jobs(4).with_check(true);
     let c = compile_sources(&w.sources(), &opts)

@@ -337,7 +337,7 @@ fn mark_overlaid(bits: &mut Vec<u64>, base_len: usize, i: usize) {
 }
 
 /// Where a worker fork carves **overflow shards** once its primary shard
-/// fills. A symbol-heavy unit chunk no longer aborts the compile: the fork
+/// fills. A symbol-heavy unit no longer aborts the compile: the fork
 /// chains a fresh shard at `next_start`, then advances `next_start` by
 /// `step`. The scheduler interleaves forks' overflow regions (fork `c` of
 /// `k` concurrent forks steps by `k × capacity`), so chained ids stay
@@ -788,8 +788,8 @@ impl SymbolTable {
     }
 
     /// Merges one worker's [`SymbolDelta`] back in. Call once per worker
-    /// fork, in unit order (forks own contiguous unit chunks, so chunk
-    /// order *is* unit order); the merge is then deterministic:
+    /// fork, in unit order (one fork per unit); the merge is then
+    /// deterministic:
     ///
     /// * the shards of worker-created symbols are adopted by reference —
     ///   their ids were globally unique from birth, so trees referencing
@@ -804,10 +804,10 @@ impl SymbolTable {
     ///   equals the fork snapshot merges to exactly the final value, so the
     ///   view aliases the delta's final value instead of merging a copy.
     ///
-    /// Known, deliberate divergence: for owners shared across unit chunks
+    /// Known, deliberate divergence: for owners shared across units
     /// (in practice only the root package), the merged `decls` order is
-    /// *chunk-major* — all of chunk 0's appends across every phase group,
-    /// then chunk 1's — while the sequential pipeline interleaves appends
+    /// *unit-major* — all of unit 0's appends across every phase group,
+    /// then unit 1's — while the sequential pipeline interleaves appends
     /// *group-major*. The membership set is identical either way, printed
     /// trees and codegen never consume package-decls order (codegen walks
     /// unit trees; `RestoreScopes` guards with `decls.contains`), and
@@ -885,7 +885,7 @@ impl SymbolTable {
         let id = if let Some(g) = self.growth.as_mut() {
             // Worker fork: allocate in the current own shard, chaining a
             // fresh overflow shard from the growth plan when it fills —
-            // a symbol-heavy chunk grows instead of aborting the compile.
+            // a symbol-heavy unit grows instead of aborting the compile.
             if self
                 .shards
                 .last()
@@ -2092,7 +2092,7 @@ mod tests {
 
     #[test]
     fn shard_exhaustion_chains_overflow_instead_of_panicking() {
-        // Regression: a chunk allocating more than its primary shard's
+        // Regression: a fork allocating more than its primary shard's
         // capacity used to abort the whole compile with a hard
         // `worker symbol shard overflow` assert. It must now chain
         // overflow shards with globally unique ids.

@@ -13,9 +13,8 @@
 use miniphases::mini_driver::{standard_plan, CompilerOptions};
 use miniphases::mini_ir::{printer, Ctx, NodeKindSet, TreeKind, TreeRef};
 use miniphases::miniphase::{
-    run_units_parallel, run_units_parallel_controlled, CompilationUnit, ExecStats, FaultKind,
-    FaultPlan, MiniPhase, NoInstrumentation, ParallelTuning, PhaseInfo, Pipeline, RunControls,
-    SubtreePruning,
+    run_units_parallel, CompilationUnit, ExecStats, FaultKind, FaultPlan, MiniPhase,
+    NoInstrumentation, PhaseInfo, Pipeline, RunControls, SubtreePruning,
 };
 use miniphases::{mini_front, mini_phases, workload};
 use proptest::prelude::*;
@@ -51,6 +50,7 @@ fn run_pipeline(
             jobs,
             check,
             &NoInstrumentation,
+            &RunControls::default(),
         );
         (run.units, run.stats, run.failures)
     } else {
@@ -125,7 +125,7 @@ proptest! {
         mode in 0u8..3,
         prune in 0u8..3,
     ) {
-        // Small units force a multi-unit corpus, so chunking really splits.
+        // Small units force a multi-unit corpus, so the workers really split it.
         let cfg = workload::WorkloadConfig { target_loc: loc, seed, unit_loc: 150 };
         let opts = opts_for(mode, prune);
         let seq = run_pipeline(&cfg, &opts, 1, false);
@@ -140,7 +140,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Checker-on ablation: `jobs ∈ {2,4,8}` with `check = true` replay
-    /// the dynamic tree checker per worker chunk and must produce the same
+    /// the dynamic tree checker per unit and must produce the same
     /// printed trees, the same merged `ExecStats` (the checker observes
     /// without perturbing the accounting) and the same finding list —
     /// content *and* order — as the sequential checked run.
@@ -245,6 +245,7 @@ proptest! {
                 jobs,
                 true,
                 &NoInstrumentation,
+                &RunControls::default(),
             );
             let printed = run
                 .units
@@ -282,8 +283,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Robustness satellite: a seeded-violation corpus where one *clean*
-    /// unit's chunk additionally panics (one-shot injected fault, caught at
-    /// the isolation fence). The surviving chunks must still re-sequence
+    /// unit additionally panics (one-shot injected fault, caught at its
+    /// isolation fence). The surviving units must still re-sequence
     /// deterministically: the merged failure list — including its first
     /// entry, the first violating unit in unit order — is byte-identical to
     /// the sequential checked run, the caught fault is attributed to the
@@ -295,7 +296,7 @@ proptest! {
         jobs_pick in 0u8..3,
     ) {
         // Unit 0 always carries a violation; unit 1 is always clean and is
-        // the one whose chunk panics.
+        // the one that panics.
         let bad_mask = (bad_mask | 1) & !2;
         let panicked = 1usize;
         let jobs = [2usize, 4, 8][jobs_pick as usize % 3];
@@ -327,16 +328,11 @@ proptest! {
                 &miniphases::miniphase::PlanOptions::default(),
             )
             .expect("plan");
-            // One chunk per unit, so the panic takes down exactly one unit.
-            let tuning = ParallelTuning {
-                chunks_per_worker: 64,
-                ..ParallelTuning::default()
-            };
             let controls = RunControls {
                 faults: fault,
                 ..RunControls::default()
             };
-            run_units_parallel_controlled(
+            run_units_parallel(
                 &mut ctx,
                 &mk,
                 &plan,
@@ -345,7 +341,6 @@ proptest! {
                 jobs,
                 true,
                 &NoInstrumentation,
-                tuning,
                 &controls,
             )
         };
@@ -365,7 +360,7 @@ proptest! {
         let par = run(jobs, Some(plan));
 
         // The fault is caught, structured and unit-attributed.
-        prop_assert_eq!(par.faults.len(), 1, "exactly one chunk fence trips");
+        prop_assert_eq!(par.faults.len(), 1, "exactly one unit fence trips");
         prop_assert_eq!(par.faults[0].unit.as_deref(), Some("u1.ms"));
         // Only the panicked unit drops out; siblings re-sequence in order.
         prop_assert_eq!(par.units.len(), n_units - 1);
