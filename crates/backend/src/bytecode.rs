@@ -22,6 +22,7 @@
 
 use mini_ir::Name;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Index of a class in [`Program::classes`].
 pub type ClassId = u32;
@@ -279,8 +280,11 @@ impl VmClass {
 pub struct Program {
     /// All classes.
     pub classes: Vec<VmClass>,
-    /// All functions.
-    pub functions: Vec<Function>,
+    /// All functions. Shared, so a link can place functions an earlier
+    /// link relocated (a compile session reuses every unit whose code and
+    /// resolved imports did not change, see [`crate::codegen::link`]) and
+    /// cloning a program copies no code.
+    pub functions: Vec<Arc<Function>>,
     /// The `main` entry point, if present.
     pub entry: Option<FnId>,
     /// Interned method selectors: [`MethodSlot`] → name. Call instructions
@@ -298,15 +302,6 @@ impl Program {
     /// Total instruction count (diagnostics).
     pub fn code_size(&self) -> usize {
         self.functions.iter().map(|f| f.code.len()).sum()
-    }
-
-    /// Intern a method selector, returning its dense slot id.
-    pub fn intern_method(&mut self, name: Name) -> MethodSlot {
-        if let Some(pos) = self.method_names.iter().position(|&n| n == name) {
-            return pos as MethodSlot;
-        }
-        self.method_names.push(name);
-        (self.method_names.len() - 1) as MethodSlot
     }
 
     /// A canonical text rendering of everything the VM reads: per function

@@ -21,7 +21,10 @@
 //!    type test names a generated class (or falls back to `Any`), whether
 //!    a callee or an allocated class exists, and which top-level `main` is
 //!    the entry point. [`generate`] is exactly `compile_unit` per tree
-//!    followed by `link`.
+//!    followed by `link`. A caller that links the same units again (a
+//!    compile session after an edit) hands each unit's [`RelocatedUnit`]
+//!    from the previous link back in, and `link` places those functions
+//!    as they are when nothing they were relocated against changed.
 //!
 //! Ids come out as a whole-program generator would assign them: classes
 //! in unit order after the builtin classes, every unit's top-level
@@ -45,6 +48,8 @@ use mini_ir::{std_names, Ctx, Flags, Name, SymbolId, TreeKind, TreeRef, Type};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
+use std::mem::size_of;
+use std::sync::Arc;
 
 /// A lowering-contract violation: the trees were not fully lowered, or
 /// reference something the backend cannot express.
@@ -151,17 +156,16 @@ struct ClassSummary {
     methods: Vec<(Name, SymbolId)>,
 }
 
+/// Modelled heap footprint of one function's name, code and handlers.
+fn function_bytes(f: &Function) -> usize {
+    f.name.len() + f.code.len() * size_of::<Insn>() + f.handlers.len() * size_of::<Handler>()
+}
+
 impl UnitCode {
     /// Modelled heap footprint in bytes (code, handlers, names, summaries
     /// and import tables), for cache accounting.
     pub fn approx_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let function = |f: &UnitFunction| {
-            size_of::<UnitFunction>()
-                + f.body.name.len()
-                + f.body.code.len() * size_of::<Insn>()
-                + f.body.handlers.len() * size_of::<Handler>()
-        };
+        let function = |f: &UnitFunction| size_of::<UnitFunction>() + function_bytes(&f.body);
         let class = |c: &ClassSummary| {
             size_of::<ClassSummary>()
                 + c.name.len()
@@ -335,8 +339,65 @@ struct ImportTables {
     methods: Imports<Name>,
 }
 
+/// One unit's functions as a [`link`] relocated them, with what they were
+/// relocated against. A later link of the same [`UnitCode`] places them
+/// again instead of relocating the unit while its imports resolve to the
+/// same ids and its functions keep theirs.
+#[derive(Debug)]
+pub struct RelocatedUnit {
+    /// The unit's import tables as resolved by the relocating link.
+    imports: Relocation,
+    /// The ids of the unit's first top-level function and first method.
+    bases: (FnId, FnId),
+    /// The relocated top-level functions, in `UnitCode` order.
+    statics: Vec<Arc<Function>>,
+    /// The relocated methods, in `UnitCode` order.
+    methods: Vec<Arc<Function>>,
+}
+
+impl RelocatedUnit {
+    /// Modelled heap footprint in bytes (relocated code and the resolved
+    /// import tables), for cache accounting.
+    pub fn approx_bytes(&self) -> u64 {
+        let r = &self.imports;
+        let bytes = size_of::<RelocatedUnit>()
+            + self
+                .statics
+                .iter()
+                .chain(&self.methods)
+                .map(|f| size_of::<Function>() + function_bytes(f))
+                .sum::<usize>()
+            + r.classes.len() * size_of::<Result<ClassId, SymbolId>>()
+            + r.functions.len() * size_of::<Result<FnId, SymbolId>>()
+            + r.fields.len() * size_of::<Result<u16, Name>>()
+            + r.methods.len() * size_of::<MethodSlot>();
+        bytes as u64
+    }
+}
+
+/// A linked program, and the code the link relocated.
+pub struct Linked {
+    /// The runnable program.
+    pub program: Program,
+    /// Per input unit: the functions this link relocated, or `None` where
+    /// it placed the unit's earlier [`RelocatedUnit`] again.
+    pub relocated: Vec<Option<RelocatedUnit>>,
+}
+
 /// Links relocatable units into one runnable [`Program`] (see the module
 /// docs). `ctx` supplies the builtin classes and the wording of errors.
+///
+/// Each unit comes with what an earlier link relocated from **that same
+/// code**, if anything: pairing a unit with another unit's relocation, or
+/// with one made from an older version of its code, is a caller error the
+/// link cannot detect. The layout — ids, vtables, field and method tables
+/// — is computed afresh on every call. A unit's earlier functions are
+/// placed as they are when its freshly resolved imports equal the ones
+/// they were relocated against and its function ids start where they did;
+/// otherwise the unit is relocated anew. The reuse never depends on
+/// symbol ids: closure classes and their `apply` methods get fresh symbols
+/// whenever their unit recompiles, but a reused unit's imports are
+/// compared as resolved program-wide ids.
 ///
 /// # Errors
 ///
@@ -344,19 +405,63 @@ struct ImportTables {
 /// an allocation of or `super` call into a class no unit (or builtin)
 /// defines, or a selection or assignment of a symbol that is no generated
 /// class's field.
-pub fn link(ctx: &Ctx, units: &[&UnitCode]) -> Result<Program, CodegenError> {
-    let mut linker = Linker::new(ctx, units);
-    for (i, u) in units.iter().enumerate() {
-        for f in &u.statics {
-            linker.push(i, f.body.clone())?;
+pub fn link(
+    ctx: &Ctx,
+    units: &[(&UnitCode, Option<&RelocatedUnit>)],
+) -> Result<Linked, CodegenError> {
+    let code: Vec<&UnitCode> = units.iter().map(|&(c, _)| c).collect();
+    let mut linker = Linker::new(ctx, &code);
+    let reuse: Vec<Option<&RelocatedUnit>> = units
+        .iter()
+        .zip(linker.units.iter().zip(&linker.bases))
+        .map(|(&(_, earlier), (imports, bases))| {
+            earlier.filter(|e| e.imports == *imports && e.bases == *bases)
+        })
+        .collect();
+    // Function ids: every unit's top-level functions, then every unit's
+    // methods (the order errors surface in, as in `generate`).
+    for (i, (u, earlier)) in code.iter().zip(&reuse).enumerate() {
+        match earlier {
+            Some(e) => linker.program.functions.extend(e.statics.iter().cloned()),
+            None => {
+                for f in &u.statics {
+                    linker.push(i, f.body.clone())?;
+                }
+            }
         }
     }
-    for (i, u) in units.iter().enumerate() {
-        for f in &u.methods {
-            linker.push(i, f.body.clone())?;
+    for (i, (u, earlier)) in code.iter().zip(&reuse).enumerate() {
+        match earlier {
+            Some(e) => linker.program.functions.extend(e.methods.iter().cloned()),
+            None => {
+                for f in &u.methods {
+                    linker.push(i, f.body.clone())?;
+                }
+            }
         }
     }
-    Ok(linker.finish())
+    let relocated = reuse
+        .iter()
+        .enumerate()
+        .map(|(i, earlier)| {
+            earlier.is_none().then(|| {
+                let (s, m) = linker.bases[i];
+                let fns = |base: FnId, n: usize| {
+                    linker.program.functions[base as usize..base as usize + n].to_vec()
+                };
+                RelocatedUnit {
+                    imports: linker.units[i].clone(),
+                    bases: (s, m),
+                    statics: fns(s, code[i].statics.len()),
+                    methods: fns(m, code[i].methods.len()),
+                }
+            })
+        })
+        .collect();
+    Ok(Linked {
+        program: linker.finish(),
+        relocated,
+    })
 }
 
 /// A program under construction: every id assigned and every table built,
@@ -367,6 +472,8 @@ struct Linker<'c> {
     program: Program,
     /// Per unit, its import tables resolved to program-wide ids.
     units: Vec<Relocation>,
+    /// Per unit, the ids of its first top-level function and first method.
+    bases: Vec<(FnId, FnId)>,
 }
 
 impl<'c> Linker<'c> {
@@ -409,12 +516,16 @@ impl<'c> Linker<'c> {
             .enumerate()
             .map(|(id, f)| (f.sym, id as FnId))
             .collect();
-        let mut statics_before = 0;
+        let mut bases = Vec::with_capacity(units.len());
+        let (mut statics_before, mut methods_before) =
+            (0, units.iter().map(|u| u.statics.len()).sum::<usize>());
         for u in units {
             if let Some(i) = u.main {
                 program.entry = Some((statics_before + i) as FnId);
             }
+            bases.push((statics_before as FnId, methods_before as FnId));
             statics_before += u.statics.len();
+            methods_before += u.methods.len();
         }
 
         // Layouts (base classes first, so inherited field slots agree) and
@@ -503,6 +614,7 @@ impl<'c> Linker<'c> {
             ctx,
             program,
             units,
+            bases,
         }
     }
 
@@ -542,7 +654,7 @@ impl<'c> Linker<'c> {
                 other => other,
             };
         }
-        self.program.functions.push(f);
+        self.program.functions.push(Arc::new(f));
         Ok(())
     }
 
@@ -554,6 +666,7 @@ impl<'c> Linker<'c> {
 
 /// One unit's import tables resolved to program-wide ids, or to what words
 /// the error if nothing in the program defines the import.
+#[derive(Clone, Debug, PartialEq)]
 struct Relocation {
     classes: Vec<Result<ClassId, SymbolId>>,
     functions: Vec<Result<FnId, SymbolId>>,

@@ -14,7 +14,9 @@ pub mod vm;
 pub use bytecode::{
     ClassId, Cmp, FnId, Function, Handler, Insn, MethodSlot, Program, TypeTest, VmClass, NO_FIELD,
 };
-pub use codegen::{compile_unit, fuse, generate, link, CodegenError, UnitCode};
+pub use codegen::{
+    compile_unit, fuse, generate, link, CodegenError, Linked, RelocatedUnit, UnitCode,
+};
 pub use vm::{Value, Vm, VmError, VmMode, VmOptions, VmStats, DEFAULT_MAX_FRAMES};
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use crate::bytecode::*;
 use crate::vm::{Value, Vm, VmError, VmOptions};
 use mini_ir::Name;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn fun(name: &str, n_params: u16, n_locals: u16, code: Vec<Insn>) -> Function {
     Function {
@@ -26,7 +27,7 @@ fn prog(
 ) -> Program {
     let mut p = Program {
         classes,
-        functions,
+        functions: functions.into_iter().map(Arc::new).collect(),
         entry,
         method_names,
     };

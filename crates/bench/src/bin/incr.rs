@@ -16,10 +16,11 @@
 //! ```
 //!
 //! Defaults: 16 units, 5 reps (median reported). The run **fails** (exit 1)
-//! if a warm body edit recompiles anything but exactly 1 unit, or if a warm
-//! signature edit fails to cascade — the cache-correctness smoke CI relies
-//! on. When `INCR_JSON` names a path, the medians are recorded there as one
-//! run named `LABEL` (default `run`), stamped with the date, the host
+//! if a warm body edit recompiles anything but exactly 1 unit or its link
+//! relocates anything but that unit's code, or if a warm signature edit
+//! fails to cascade — the cache-correctness smoke CI relies on. When
+//! `INCR_JSON` names a path, the medians are recorded there as one run
+//! named `LABEL` (default `run`), stamped with the date, the host
 //! (`nproc`, CPU model) and the command line. Runs already in the file are
 //! kept, except an earlier run of the same label, which is replaced — so
 //! two builds measured back to back on one host sit side by side.
@@ -83,6 +84,7 @@ fn run_once(
         linked_unit_name(body_uid),
         linked_unit_source(cfg, body_uid, body_salt, 0),
     );
+    let relocated_before = session.cache_stats().units_relocated;
     let t1 = Instant::now();
     let warm_body = session.compile().expect("warm body compile succeeds");
     let body_t = t1.elapsed();
@@ -92,6 +94,16 @@ fn run_once(
             linked_unit_name(body_uid),
             warm_body.recompiled_units,
             warm_body.reused_units
+        );
+        std::process::exit(1);
+    }
+    // The other units' code resolves to the same ids as before the edit,
+    // so the link must place it as it is and relocate the edited unit only.
+    let relocated = session.cache_stats().units_relocated - relocated_before;
+    if relocated != 1 {
+        eprintln!(
+            "FAIL: warm body edit of {} relocated {relocated} units at link (expected exactly 1)",
+            linked_unit_name(body_uid)
         );
         std::process::exit(1);
     }
@@ -182,9 +194,11 @@ fn main() {
         (ms(sig) / ms(cold) - 1.0) * 100.0
     );
     println!(
-        "session cache (per rep)   : {} reused / {} recompiled; invalidations: {} source, {} dep-cascade",
+        "session cache (per rep)   : {} reused / {} recompiled / {} relocated; invalidations: \
+         {} source, {} dep-cascade",
         cache.units_reused,
         cache.units_recompiled,
+        cache.units_relocated,
         cache.invalidated_by_source,
         cache.invalidated_by_deps
     );

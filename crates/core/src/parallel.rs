@@ -39,12 +39,15 @@
 //! end-to-end (every phase group) on whichever thread claimed it:
 //!
 //! * **Replicated per unit** — the whole mutable heart of [`Ctx`]: the
-//!   `Rc` tree arena (the unit's tree is deep-copied into the job's arena
-//!   through [`mini_ir::Ctx::import_tree`] before any phase runs; the
-//!   original is only *read* during the copy, never cloned or dropped
-//!   off-thread), the literal-intern caches, the executor's reused scratch
-//!   stacks, and the phase instances themselves (built per unit via the
-//!   caller's factory).
+//!   `Rc` tree arena, the literal-intern caches, the executor's reused
+//!   scratch stacks, and the phase instances themselves (built per unit via
+//!   the caller's factory). At `jobs ≥ 2` the unit's tree is deep-copied
+//!   into the job's arena through [`mini_ir::Ctx::import_tree`] before any
+//!   phase runs; the original is only *read* during the copy, never cloned
+//!   or dropped off-thread. At `jobs = 1` no thread boundary is crossed, so
+//!   the job takes the tree by `Rc` clone and the lowered unit shares every
+//!   subtree no phase rewrote with its input: trees are immutable, and each
+//!   unit's traversal reads and rewrites only its own tree.
 //! * **Shared, thread-safe** — the global [`mini_ir::Name`] interner (a
 //!   mutex over leaked `'static` strings) and the read-only
 //!   [`PhasePlan`] / [`FusionOptions`].
@@ -86,8 +89,8 @@
 //! order at group boundaries, giving identical `ExecStats` to the
 //! sequential run. The merged [`mini_ir::AllocStats`] are summed per unit
 //! and deliberately cover the **transform pipeline only** — each unit's
-//! floor is snapshotted *after* its import copy, mirroring the sequential
-//! measurement — so they stay comparable to `jobs = 1`; they still run
+//! floor is snapshotted *after* its import copy (if any), mirroring the
+//! sequential measurement — so they stay comparable to `jobs = 1`; they still run
 //! slightly higher because each unit's private intern cache re-allocates
 //! literals another unit (or the frontend) already interned.
 //!
@@ -104,7 +107,7 @@ use crate::fused::FusionOptions;
 use crate::mini::MiniPhase;
 use crate::plan::PhasePlan;
 use crate::unit::CompilationUnit;
-use mini_ir::{Ctx, ShardGrowth, Tree};
+use mini_ir::{Ctx, ShardGrowth, TreeRef};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -191,31 +194,35 @@ pub struct ParallelRun<D> {
     pub faults: Vec<InternalFault>,
 }
 
-/// A loan of one unit's tree to a worker thread.
+/// A loan of one unit's tree to the thread that compiles it.
 ///
-/// `&Tree` is not `Send` (trees hold `Rc` children), but the worker only
-/// *reads* borrowed nodes — field access and `child_at` traversal inside
-/// [`mini_ir::Ctx::import_tree`] — and never clones or drops any reachable
-/// `Rc` handle, so no reference count is touched off the owning thread. The
-/// calling thread keeps the originals alive (and unmutated — trees are
-/// immutable) until the scope joins.
+/// `&TreeRef` is not `Send` (trees hold `Rc` children), but a worker
+/// thread (`jobs ≥ 2`) only *reads* borrowed nodes — field access and
+/// `child_at` traversal inside [`mini_ir::Ctx::import_tree`] — and never
+/// clones or drops any reachable `Rc` handle, so no reference count is
+/// touched off the owning thread. The calling thread keeps the originals
+/// alive (and unmutated — trees are immutable) until the scope joins. Only
+/// at `jobs = 1`, where the units run on the calling thread that owns the
+/// trees, does the job clone the root handle instead of copying the tree.
 struct UnitLoan<'a> {
     name: &'a str,
-    tree: &'a Tree,
+    tree: &'a TreeRef,
 }
 
-// SAFETY: see the type docs — loaned trees are read-only on the worker and
-// outlive it; refcounted handles are neither cloned nor dropped off-thread.
+// SAFETY: see the type docs — loaned trees are read-only on a worker thread
+// and outlive it; refcounted handles are neither cloned nor dropped
+// off-thread (the `jobs = 1` clone happens on the owning thread).
 unsafe impl Send for UnitLoan<'_> {}
 
 /// A unit's outcome travelling back to the calling thread.
 ///
-/// Wrapped because `TreeRef` is `Rc`: every handle reachable from the
-/// lowered unit lives in the unit's own arena (imported root, nodes the
-/// unit's pipeline built, literals it interned), and the claiming thread
-/// is done with the unit before the wrapper is opened, with the scope join
-/// providing the happens-before edge. After the join the calling thread is
-/// the sole owner.
+/// Wrapped because `TreeRef` is `Rc`. At `jobs ≥ 2` every handle reachable
+/// from the lowered unit lives in the unit's own arena (imported root,
+/// nodes the unit's pipeline built, literals it interned), and the claiming
+/// thread is done with the unit before the wrapper is opened, with the
+/// scope join providing the happens-before edge. After the join the calling
+/// thread is the sole owner. At `jobs = 1` the unit never leaves the
+/// calling thread.
 struct UnitHandoff<D>(Result<IsolatedUnitRun<D>, InternalFault>);
 
 // SAFETY: see the type docs — whole-arena ownership transfer synchronized
@@ -280,11 +287,14 @@ fn fault_from_panic(
 /// checker, injected fault) becomes an attributed fault instead of
 /// unwinding into the scheduler, so sibling units complete and the fan-in
 /// stays deterministic. Entirely determined by the job (floors, fork,
-/// loan) — the identity of the claiming thread leaves no trace.
+/// loan) — the identity of the claiming thread leaves no trace. With
+/// `share_tree` (only on the thread that owns the loaned tree) the job
+/// takes the tree by `Rc` clone instead of importing a copy.
 #[allow(clippy::too_many_arguments)]
 fn compile_unit_job<F, I>(
     index: usize,
     job: UnitJob<'_>,
+    share_tree: bool,
     ir_options: mini_ir::IrOptions,
     make_phases: &F,
     plan: &PhasePlan,
@@ -311,7 +321,12 @@ where
             fault_plan.fire_unit_claim(index);
         }
         let mut wctx = Ctx::worker(table, ir_options, id_floor, heap_floor);
-        let unit = CompilationUnit::new(loan.name, wctx.import_tree(loan.tree));
+        let tree = if share_tree {
+            TreeRef::clone(loan.tree)
+        } else {
+            wctx.import_tree(loan.tree)
+        };
+        let unit = CompilationUnit::new(loan.name, tree);
         // Floor AFTER the import copy: the merged AllocStats cover the
         // transform pipeline only, like sequential measured runs (see the
         // module docs).
@@ -552,8 +567,10 @@ pub struct IsolatedLayout {
 /// per-group counters and checker findings, and the symbol-table delta to
 /// splice when assembling a full program around cached neighbours.
 pub struct IsolatedUnitRun<D = ()> {
-    /// The lowered unit (tree lives in the unit's own arena; after the
-    /// batch returns the calling thread is its sole owner).
+    /// The lowered unit. At `jobs ≥ 2` its tree lives in the unit's own
+    /// arena, and after the batch returns the calling thread is its sole
+    /// owner. At `jobs = 1` it shares every subtree no phase rewrote with
+    /// the input tree.
     pub unit: CompilationUnit,
     /// Traversal counters per phase group, in group order.
     pub stats_by_group: Vec<ExecStats>,
@@ -570,8 +587,9 @@ pub struct IsolatedUnitRun<D = ()> {
     /// whose [`mini_ir::SymbolDelta::max_id_end`] lies past the shard's
     /// end chained overflow shards, interleaved with its siblings'.
     pub sym_slot: (u32, u32),
-    /// Nodes and bytes the unit's transform pipeline allocated (the import
-    /// copy excluded).
+    /// Nodes and bytes the unit's transform pipeline allocated: the
+    /// import copy a `jobs ≥ 2` batch makes is excluded, so the figure is
+    /// the same at every `jobs`.
     pub alloc: mini_ir::AllocStats,
     /// Diagnostics the unit's pipeline reported.
     pub errors: Vec<mini_ir::Diagnostic>,
@@ -605,9 +623,11 @@ pub struct IsolatedBatch<D = ()> {
 /// `jobs ≥ 2`.
 ///
 /// `jobs` worker threads (clamped to `1..=units`) claim units through an
-/// atomic index; with one, the units run on the calling thread. Because
-/// every per-unit input (fork floors, loan) is derived from the unit
-/// index, the outcomes are byte-identical across `jobs` values.
+/// atomic index; with one, the units run on the calling thread and take
+/// their input trees by `Rc` clone instead of a deep copy. Because every
+/// per-unit input (fork floors, loan) is derived from the unit index, the
+/// outcomes are byte-identical across `jobs` values; only the sharing of
+/// unrewritten subtrees with the input differs.
 ///
 /// Each unit runs inside a `catch_unwind` fence: a unit whose pipeline
 /// panics yields `Err(fault)` in its slot — attributed to the unit and
@@ -705,6 +725,7 @@ where
         let run = compile_unit_job(
             i,
             job,
+            jobs == 1,
             ir_options,
             make_phases,
             plan,
@@ -1047,6 +1068,98 @@ mod tests {
         assert_eq!(ends[0], ends[1], "the end floors do not depend on jobs");
         assert_eq!(ends[0].id_floor, layout.id_floor + 3 * ID_STRIDE);
         assert_eq!(ends[0].heap_floor, layout.heap_floor + 3 * HEAP_STRIDE);
+    }
+
+    /// Mints one root-package term per even literal it sees, so unit deltas
+    /// carry new symbols.
+    struct Mint;
+    impl PhaseInfo for Mint {
+        fn name(&self) -> &str {
+            "mint"
+        }
+    }
+    impl MiniPhase for Mint {
+        fn transforms(&self) -> NodeKindSet {
+            NodeKindSet::of(NodeKind::Literal)
+        }
+        fn transform_literal(&mut self, ctx: &mut Ctx, tree: &TreeRef) -> TreeRef {
+            if let TreeKind::Literal { value } = tree.kind() {
+                if value.as_int().is_some_and(|v| v % 2 == 0) {
+                    let root = ctx.symbols.builtins().root_pkg;
+                    let name = ctx.fresh_name("minted");
+                    ctx.symbols
+                        .new_term(root, name, mini_ir::Flags::EMPTY, mini_ir::Type::Int);
+                }
+            }
+            tree.clone()
+        }
+    }
+
+    #[test]
+    fn jobs_one_shares_unrewritten_subtrees_and_matches_jobs_two() {
+        // At jobs = 1 the units run on the calling thread, which owns the
+        // input trees, so a job takes its tree by `Rc` clone: the block's
+        // unit-literal result, which no phase rewrites, comes back as the
+        // very input node. At jobs = 2 every tree crosses to a worker and
+        // is copied. Everything else a batch reports is equal.
+        let mk = || -> Vec<Box<dyn MiniPhase>> {
+            vec![Box::new(Inc("inc1")), Box::new(Mint), Box::new(Inc("inc2"))]
+        };
+        let mut ctx = Ctx::new();
+        let units = make_units(&mut ctx, 4);
+        let ps = mk();
+        let plan = build_plan(&ps, &PlanOptions::default()).unwrap();
+        let layout = IsolatedLayout {
+            sym_floor: ctx.symbols.id_ceiling() + 7,
+            id_floor: 1 << 44,
+            heap_floor: 1 << 44,
+        };
+        let block_expr = |t: &TreeRef| match t.kind() {
+            TreeKind::Block { expr, .. } => expr.clone(),
+            other => panic!("expected a block, got {:?}", other.node_kind()),
+        };
+        let observe = |jobs: usize| {
+            let batch = run_units_isolated(
+                &ctx,
+                &mk,
+                &plan,
+                FusionOptions::default(),
+                &units,
+                jobs,
+                false,
+                &NoInstrumentation,
+                layout,
+                &RunControls::default(),
+            );
+            let mut seen = Vec::new();
+            for (input, run) in units.iter().zip(&batch.runs) {
+                let run = run.as_ref().expect("no unit faults");
+                let shared = TreeRef::ptr_eq(&block_expr(&input.tree), &block_expr(&run.unit.tree));
+                assert_eq!(shared, jobs == 1, "sharing at jobs={jobs}");
+                let new_syms: Vec<String> = (run.sym_slot.0..run.delta.max_id_end())
+                    .map(|id| {
+                        format!(
+                            "{:?}",
+                            run.delta.new_symbol(mini_ir::SymbolId::from_index(id))
+                        )
+                    })
+                    .collect();
+                assert!(!new_syms.is_empty(), "every unit mints symbols");
+                let dirty: Vec<String> = run
+                    .delta
+                    .dirty_entries()
+                    .map(|(id, d)| format!("{} {d:?}", id.index()))
+                    .collect();
+                seen.push(format!(
+                    "{}\n{:?}\n{new_syms:?}\n{dirty:?}\n{:?}",
+                    mini_ir::printer::print_tree(&run.unit.tree, &ctx.symbols),
+                    run.stats_by_group,
+                    run.alloc
+                ));
+            }
+            (seen, batch.end)
+        };
+        assert_eq!(observe(1), observe(2));
     }
 
     /// A phase whose postcondition rejects negative literals — used to

@@ -50,7 +50,12 @@
 //!    artifact, against that compile's assembled table (artifacts imported
 //!    from the shared store get theirs the same way), and reused by every
 //!    later one: a warm `compile()` only links. It is valid under the same
-//!    key as the tree. [`mini_backend::compile_unit`] reads the unit's own
+//!    key as the tree. The artifact also keeps what the last link
+//!    relocated from that code ([`mini_backend::RelocatedUnit`]), and the
+//!    next link places those functions again unless the unit's imports
+//!    resolve to other ids or its function ids moved, so a body edit
+//!    relocates the edited unit only ([`CacheStats::units_relocated`]).
+//!    [`mini_backend::compile_unit`] reads the unit's own
 //!    tree and symbols and, of its dependencies, only class parents and
 //!    member owners, which the dep-interface hash covers; every cross-unit
 //!    reference (callee, class, field, method selector) stays symbolic
@@ -151,7 +156,7 @@ use crate::{
     diagnostics_error, phase_factory, standard_plan, CompileError, Compiled, CompilerOptions,
     StageTimes,
 };
-use mini_backend::{compile_unit, link, UnitCode};
+use mini_backend::{compile_unit, link, RelocatedUnit, UnitCode};
 use mini_ir::fingerprint::{binding_fingerprint, export_interface_hash, source_fingerprint, Fnv64};
 use mini_ir::{Ctx, SymbolDelta, SymbolId, SymbolTable, TreeRef};
 use miniphase::{
@@ -193,6 +198,11 @@ pub struct CacheStats {
     pub units_reused: u64,
     /// Unit compilations that ran the frontend + pipeline.
     pub units_recompiled: u64,
+    /// Units whose code a link relocated instead of reusing the relocated
+    /// functions cached with the unit's artifact: every recompiled unit,
+    /// plus every reused unit whose resolved imports or function ids
+    /// changed.
+    pub units_relocated: u64,
     /// Units invalidated because their own source changed.
     pub invalidated_by_source: u64,
     /// Units invalidated because a dependency's exported interface changed
@@ -274,14 +284,22 @@ struct UnitArtifact {
     /// links this artifact and reused by every later one (module
     /// invariant 3).
     code: Option<Arc<UnitCode>>,
+    /// What the last link relocated from `code`: the unit's functions with
+    /// program-wide operands, the resolved imports and the function-id
+    /// bases they were relocated against. The next link places them again
+    /// while its freshly resolved imports and bases are equal. Kept here,
+    /// so it is only ever offered with the code it was made from, and
+    /// dropped with the artifact.
+    relocated: Option<RelocatedUnit>,
     /// Compile sequence number the artifact was (re)built in — the age key
     /// of the byte-budget eviction. Assigned at creation only: every live
     /// unit is spliced each compile, so last-*use* stamps would be
     /// uniform; least-recently-**recompiled** is the meaningful order.
     stamp: u64,
     /// Modelled size of the cached artifact (tree nodes × mean node
-    /// footprint, plus [`UnitCode::approx_bytes`] once the code is built)
-    /// — the unit the cache byte budget is accounted in.
+    /// footprint, plus [`UnitCode::approx_bytes`] once the code is built
+    /// and [`RelocatedUnit::approx_bytes`] once it is relocated) — the unit
+    /// the cache byte budget is accounted in.
     approx_bytes: u64,
     /// `[lo, hi)` symbol-id range of the artifact's delta shards. Local
     /// artifacts get their pipeline slot's range; imported ones carry the
@@ -655,6 +673,7 @@ impl CompileSession {
                             findings: sorted_findings(art.findings_by_group),
                             delta: art.delta,
                             code: None,
+                            relocated: None,
                             stamp,
                             approx_bytes,
                             sym_range: art.sym_range,
@@ -816,24 +835,33 @@ impl CompileSession {
         let backend_ctx = Ctx::with_symbols(table, self.front.options);
         // Codegen: units cached by an earlier compile bring their code;
         // the others compile theirs against this table, once, and keep it.
-        let mut code: Vec<Arc<UnitCode>> = Vec::with_capacity(self.units.len());
         for state in self.units.values_mut() {
             let a = state.cached.as_mut().expect("every unit is cached");
-            let unit_code = match &a.code {
-                Some(c) => Arc::clone(c),
-                None => {
-                    let c = Arc::new(
-                        compile_unit(&backend_ctx, &a.tree).map_err(CompileError::Codegen)?,
-                    );
-                    a.approx_bytes += c.approx_bytes();
-                    a.code = Some(Arc::clone(&c));
-                    c
-                }
-            };
-            code.push(unit_code);
+            if a.code.is_none() {
+                let c = compile_unit(&backend_ctx, &a.tree).map_err(CompileError::Codegen)?;
+                a.approx_bytes += c.approx_bytes();
+                a.code = Some(Arc::new(c));
+            }
         }
-        let refs: Vec<&UnitCode> = code.iter().map(|c| &**c).collect();
-        let program = link(&backend_ctx, &refs).map_err(CompileError::Codegen)?;
+        let units: Vec<(&UnitCode, Option<&RelocatedUnit>)> = self
+            .units
+            .values()
+            .map(|state| {
+                let a = state.cached.as_ref().expect("every unit is cached");
+                let code = a.code.as_deref().expect("every unit has code");
+                (code, a.relocated.as_ref())
+            })
+            .collect();
+        let linked = link(&backend_ctx, &units).map_err(CompileError::Codegen)?;
+        for (state, fresh) in self.units.values_mut().zip(linked.relocated) {
+            let Some(fresh) = fresh else { continue };
+            let a = state.cached.as_mut().expect("every unit is cached");
+            let stale = a.relocated.as_ref().map_or(0, RelocatedUnit::approx_bytes);
+            a.approx_bytes = a.approx_bytes - stale + fresh.approx_bytes();
+            a.relocated = Some(fresh);
+            self.stats.units_relocated += 1;
+        }
+        let program = linked.program;
         let backend = be_start.elapsed();
         // Enforce the artifact-cache byte budget only after the program is
         // assembled — an eviction costs the *next* compile a recompile,
@@ -897,6 +925,7 @@ impl CompileSession {
             findings: sorted_findings(run.findings_by_group),
             delta,
             code: None,
+            relocated: None,
             stamp,
             approx_bytes,
             sym_range,
@@ -1319,6 +1348,45 @@ mod tests {
         let recovered = session.compile().expect("recovers after poison");
         let batch = scratch(&sources());
         assert_eq!(run(&recovered), run(&batch));
+    }
+
+    #[test]
+    fn artifact_bytes_count_relocated_code_and_evicted_units_relocate() {
+        let srcs = sources();
+        let mut session = CompileSession::new(CompilerOptions::fused());
+        for (n, s) in &srcs {
+            session.update(*n, *s);
+        }
+        session.compile().expect("cold");
+        for a in session.units.values().filter_map(|u| u.cached.as_ref()) {
+            let code = a.code.as_ref().expect("linked units have code");
+            let relocated = a.relocated.as_ref().expect("and relocated code");
+            assert_eq!(
+                a.approx_bytes,
+                u64::from(a.tree.subtree_size()) * 64
+                    + code.approx_bytes()
+                    + relocated.approx_bytes()
+            );
+        }
+        // A budget one byte short of everything evicts the oldest artifact
+        // (`a.ms`, by the name tiebreak). The next compile recompiles it and
+        // relocates it afresh; the other units' code is placed as it was.
+        let total = session.memory_footprint().artifact_bytes;
+        let opts = CompilerOptions::fused().with_budgets(crate::Budgets {
+            cache_bytes: Some(total - 1),
+            ..crate::Budgets::default()
+        });
+        let mut session = CompileSession::new(opts);
+        for (n, s) in &srcs {
+            session.update(*n, *s);
+        }
+        session.compile().expect("cold");
+        assert_eq!(session.cache_stats().evicted_units, 1);
+        assert!(session.units["a.ms"].cached.is_none());
+        let warm = session.compile().expect("warm");
+        assert_eq!(warm.recompiled_units, 1);
+        assert_eq!(session.cache_stats().units_relocated, 4, "3 cold + a.ms");
+        assert_eq!(run(&warm), run(&scratch(&srcs)));
     }
 
     #[test]

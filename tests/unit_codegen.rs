@@ -9,9 +9,18 @@
 //! function and field id after it). After the relink, the program must
 //! equal a from-scratch compile instruction for instruction, and print
 //! the expected values.
+//!
+//! A link also reuses what the previous link relocated from a unit's
+//! cached code, while the unit's imports resolve to the same ids and its
+//! function ids stay put. The later tests pin which units a link
+//! relocates (`CacheStats::units_relocated`): exactly the recompiled ones
+//! over the benchmark's edit script, every unit whose function ids shift,
+//! and a reused unit whose selectors are renumbered.
 
 use miniphases::mini_backend::{Program, Vm};
 use miniphases::mini_driver::{compile_sources, CompileSession, CompilerOptions};
+use std::collections::BTreeMap;
+use workload::EditKind;
 
 const LIB: &str = "trait Shape {
   val base: Int = 2
@@ -130,5 +139,158 @@ fn body_edit_relinks_reused_units_to_a_from_scratch_program() {
         let back = session.compile().expect("revert compile");
         assert_eq!(back.recompiled_units, 1);
         assert_eq!(back.program.canonical_dump(), cold.program.canonical_dump());
+    }
+}
+
+/// The linked corpus of the session benchmark, its sources by name.
+fn linked_corpus() -> (workload::LinkedConfig, BTreeMap<String, String>) {
+    let cfg = workload::LinkedConfig::incr_bench();
+    let sources = workload::generate_linked(&cfg).units.into_iter().collect();
+    (cfg, sources)
+}
+
+fn scratch_dump(sources: &BTreeMap<String, String>, opts: &CompilerOptions) -> String {
+    let sources: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(n, s)| (n.as_str(), s.as_str()))
+        .collect();
+    compile_sources(&sources, opts)
+        .expect("compiles from scratch")
+        .program
+        .canonical_dump()
+}
+
+/// Compiles the session and checks its program against a from-scratch
+/// compile of `sources`. Returns the compile's recompiled and relocated
+/// unit counts.
+fn compile_checked(
+    session: &mut CompileSession,
+    sources: &BTreeMap<String, String>,
+) -> (usize, u64) {
+    let before = session.cache_stats().units_relocated;
+    let compiled = session.compile().expect("session compiles");
+    assert_eq!(
+        compiled.program.canonical_dump(),
+        scratch_dump(sources, session.options()),
+        "session program != from-scratch program"
+    );
+    let relocated = session.cache_stats().units_relocated - before;
+    (compiled.recompiled_units, relocated)
+}
+
+fn session_over(sources: &BTreeMap<String, String>, opts: CompilerOptions) -> CompileSession {
+    let mut session = CompileSession::new(opts);
+    for (n, s) in sources {
+        session.update(n.clone(), s.clone());
+    }
+    session
+}
+
+#[test]
+fn linked_edit_script_relocates_exactly_the_recompiled_units() {
+    // Body and signature edits keep every unit's function count, so no
+    // unit's function ids or resolved imports move: a link relocates the
+    // recompiled units and places every other unit's code as it is, even
+    // though each recompiled unit's closure class and `apply` method get
+    // fresh symbols.
+    let (cfg, mut sources) = linked_corpus();
+    let opts = CompilerOptions::fused().with_lint(true);
+    let mut session = session_over(&sources, opts);
+    let (recompiled, relocated) = compile_checked(&mut session, &sources);
+    assert_eq!(
+        (recompiled, relocated),
+        (sources.len(), sources.len() as u64)
+    );
+    let script = workload::edit_series(&cfg, 24, 5);
+    for kind in [EditKind::Body, EditKind::Signature] {
+        assert!(script.edits.iter().any(|e| e.kind == kind), "{kind:?}");
+    }
+    for edit in &script.edits {
+        sources.insert(edit.unit.clone(), edit.source.clone());
+        session.update(edit.unit.clone(), edit.source.clone());
+        let (recompiled, relocated) = compile_checked(&mut session, &sources);
+        assert_eq!(
+            relocated, recompiled as u64,
+            "a {:?} edit of {} relocated {relocated} unit(s), recompiled {recompiled}",
+            edit.kind, edit.unit
+        );
+    }
+}
+
+#[test]
+fn a_new_top_level_function_relocates_every_unit_whose_ids_shift() {
+    // Function ids run over every unit's top-level functions, then every
+    // unit's methods. A top-level function added to unit 1 shifts the
+    // later units' top-level functions and every unit's methods, and every
+    // linked unit has methods (its class and its closure class), so every
+    // unit relocates, also those that do not depend on unit 1.
+    let (cfg, mut sources) = linked_corpus();
+    let mut session = session_over(&sources, CompilerOptions::fused());
+    compile_checked(&mut session, &sources);
+    let unit = workload::linked_unit_name(1);
+    let grown = format!(
+        "{}def U1extra(n: Int): Int = n + 1\n",
+        workload::linked_unit_source(&cfg, 1, 0, 0)
+    );
+    sources.insert(unit.clone(), grown.clone());
+    session.update(unit, grown);
+    let (recompiled, relocated) = compile_checked(&mut session, &sources);
+    assert!(recompiled < sources.len(), "some units are reused");
+    assert_eq!(relocated, sources.len() as u64);
+}
+
+/// `LIB` with a box class, and a user whose top-level function is the
+/// first to call its methods.
+const BOX_LIB: &str = "class Box(v: Int) {
+  def get(): Int = v
+  def twice(): Int = v + v
+}
+def one(): Int = 1
+";
+
+/// A body-only edit of `one`: it now calls `twice`, before any other
+/// unit does.
+const BOX_LIB_EDITED: &str = "class Box(v: Int) {
+  def get(): Int = v
+  def twice(): Int = v + v
+}
+def one(): Int = new Box(1).twice() - 1
+";
+
+const BOX_USER: &str = "def useBox(): Int = {
+  val b: Box = new Box(3)
+  b.get() * 10 + b.twice()
+}
+";
+
+const BOX_MAIN: &str = "def main(): Unit = {
+  println(one())
+  println(useBox())
+}
+";
+
+#[test]
+fn a_reused_unit_whose_imports_resolve_differently_relocates() {
+    // Method slots are numbered in whole-program first-use order, top-level
+    // functions first. The edit makes `a.ms` use `twice` first, which
+    // swaps the slots of `get` and `twice`. `b.ms` is reused (the edit is
+    // body-only) and keeps its function ids, but its selectors now resolve
+    // to other slots, so it must be relocated. `z.ms` selects no method
+    // and is placed as it was.
+    let sources = |lib: &str| -> BTreeMap<String, String> {
+        [("a.ms", lib), ("b.ms", BOX_USER), ("z.ms", BOX_MAIN)]
+            .into_iter()
+            .map(|(n, s)| (n.to_owned(), s.to_owned()))
+            .collect()
+    };
+    for opts in [CompilerOptions::fused(), CompilerOptions::mega()] {
+        let mut session = session_over(&sources(BOX_LIB), opts);
+        compile_checked(&mut session, &sources(BOX_LIB));
+        session.update("a.ms", BOX_LIB_EDITED);
+        let (recompiled, relocated) = compile_checked(&mut session, &sources(BOX_LIB_EDITED));
+        assert_eq!((recompiled, relocated), (1, 2));
+        let program = session.compile().expect("idle compile").program;
+        assert_eq!(run(&program), ["1", "36"]);
+        assert_eq!(session.cache_stats().units_relocated, 5, "3 cold + 2");
     }
 }
