@@ -236,7 +236,7 @@ pub fn compile_unit(ctx: &Ctx, unit: &TreeRef) -> Result<UnitCode, CodegenError>
         let methods = ctx
             .symbols
             .sym(sym)
-            .decls
+            .decls()
             .iter()
             .filter_map(|&d| {
                 let sd = ctx.symbols.sym(d);
@@ -867,7 +867,7 @@ impl FnCompiler<'_> {
                 let param_slots: Vec<u16> = ctx
                     .symbols
                     .sym(*label)
-                    .decls
+                    .decls()
                     .iter()
                     .map(|&p| self.slot(p))
                     .collect();

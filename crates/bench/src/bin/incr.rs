@@ -58,13 +58,21 @@ fn signature_cascade_size(cfg: &LinkedConfig) -> usize {
     direct + 2 // + unit0000 itself + zmain.ms
 }
 
-/// One full measurement pass; returns (cold, warm-body, warm-sig) times,
-/// the dependent count the signature edit cascaded to, and the session's
-/// cache bookkeeping.
-fn run_once(
-    cfg: &LinkedConfig,
-    body_salt: u64,
-) -> (Duration, Duration, Duration, usize, mini_driver::CacheStats) {
+/// One measurement pass: the three compiles' times, the unit counts each
+/// reported (`Compiled::recompiled_units` / `reused_units`), and the
+/// session's cache bookkeeping.
+struct Pass {
+    cold: Duration,
+    body: Duration,
+    sig: Duration,
+    cold_recompiled: usize,
+    body_recompiled: usize,
+    body_reused: usize,
+    sig_recompiled: usize,
+    cache: mini_driver::CacheStats,
+}
+
+fn run_once(cfg: &LinkedConfig, body_salt: u64) -> Pass {
     let opts = CompilerOptions::fused();
     let base = generate_linked(cfg);
 
@@ -126,13 +134,16 @@ fn run_once(
         );
         std::process::exit(1);
     }
-    (
-        cold_t,
-        body_t,
-        sig_t,
-        warm_sig.recompiled_units,
-        session.cache_stats(),
-    )
+    Pass {
+        cold: cold_t,
+        body: body_t,
+        sig: sig_t,
+        cold_recompiled: cold.recompiled_units,
+        body_recompiled: warm_body.recompiled_units,
+        body_reused: warm_body.reused_units,
+        sig_recompiled: warm_sig.recompiled_units,
+        cache: session.cache_stats(),
+    }
 }
 
 fn main() {
@@ -162,29 +173,26 @@ fn main() {
     let loc = generate_linked(&cfg).total_loc;
     println!("incr: {units}-unit linked corpus ({loc} LOC), {reps} reps, fused pipeline");
 
-    let mut colds = Vec::new();
-    let mut bodies = Vec::new();
-    let mut sigs = Vec::new();
-    let mut cascade = 0usize;
-    let mut cache = mini_driver::CacheStats::default();
-    for rep in 0..reps {
-        let (c, b, s, n, cs) = run_once(&cfg, rep as u64 + 1);
-        colds.push(c);
-        bodies.push(b);
-        sigs.push(s);
-        cascade = n;
-        cache = cs;
-    }
-    let (cold, body, sig) = (median(colds), median(bodies), median(sigs));
+    let passes: Vec<Pass> = (0..reps)
+        .map(|rep| run_once(&cfg, rep as u64 + 1))
+        .collect();
+    let cold = median(passes.iter().map(|p| p.cold).collect());
+    let body = median(passes.iter().map(|p| p.body).collect());
+    let sig = median(passes.iter().map(|p| p.sig).collect());
+    // Every pass compiles the same corpus and edits, so the unit counts
+    // (checked in `run_once`) are those of the last.
+    let last = passes.last().expect("REPS >= 1");
+    let (cascade, cache) = (last.sig_recompiled, last.cache);
     println!(
         "cold full compile         : {:>8.1} ms  ({} units recompiled)",
         ms(cold),
-        units
+        last.cold_recompiled
     );
     println!(
-        "warm body edit            : {:>8.1} ms  (1 unit recompiled, {} reused)  {:+.0}% vs cold",
+        "warm body edit            : {:>8.1} ms  ({} unit recompiled, {} reused)  {:+.0}% vs cold",
         ms(body),
-        units - 1,
+        last.body_recompiled,
+        last.body_reused,
         (ms(body) / ms(cold) - 1.0) * 100.0
     );
     println!(

@@ -1131,11 +1131,7 @@ impl CompileSession {
         }
         let gone: HashSet<SymbolId> = syms.iter().copied().collect();
         let pkg = self.front.symbols.builtins().root_pkg;
-        self.front
-            .symbols
-            .sym_mut(pkg)
-            .decls
-            .retain(|d| !gone.contains(d));
+        self.front.symbols.retain_decls(pkg, |d| !gone.contains(d));
     }
 
     /// Recovery after a failed compile: fresh frontend, every unit dirty,

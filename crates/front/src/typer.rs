@@ -14,9 +14,11 @@
 
 use crate::ast::*;
 use mini_ir::{
-    std_names, Constant, Ctx, Flags, Name, Span, SymKind, SymbolId, TreeKind, TreeRef, Type,
+    std_names, Constant, Ctx, Flags, Name, SharedList, Span, SymKind, SymbolId, TreeKind, TreeRef,
+    Type, TypeList,
 };
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Typed result of the frontend for one unit.
 pub struct TypedUnit {
@@ -138,6 +140,10 @@ struct Typer<'a> {
     pkg_refs: Vec<SymbolId>,
     /// Current expression-typing recursion depth (see [`MAX_TYPE_DEPTH`]).
     depth: u32,
+    /// The method types of primitive operators, `(param?)result`, each
+    /// built once and shared by every operator node (see
+    /// [`Typer::operator_type`]).
+    operator_types: HashMap<(Option<Type>, Type), Type>,
 }
 
 /// Hard ceiling on expression-typing recursion. The parser bounds
@@ -164,7 +170,21 @@ impl<'a> Typer<'a> {
             top_syms: Vec::new(),
             pkg_refs: Vec::new(),
             depth: 0,
+            operator_types: HashMap::new(),
         }
+    }
+
+    /// The method type of a primitive operator taking `param` (none for a
+    /// unary operator) and returning `result`. Operators are the commonest
+    /// nodes, and their few signatures are built once per unit and shared.
+    fn operator_type(&mut self, param: Option<Type>, result: Type) -> Type {
+        self.operator_types
+            .entry((param, result))
+            .or_insert_with_key(|(param, result)| Type::Method {
+                params: [param.iter().cloned().collect::<TypeList>()].into(),
+                ret: Arc::new(result.clone()),
+            })
+            .clone()
     }
 
     /// True when `existing`, found under `owner`, belongs to this unit's
@@ -209,14 +229,14 @@ impl<'a> Typer<'a> {
                     d.flags = flags;
                     d.set_info(info);
                     d.span = span;
-                    d.decls.clear();
+                    d.clear_decls();
                     d.tparams.clear();
                     self.push_rebuilt(owner, e);
                     return e;
                 }
                 // The name now means something of a different kind; retire
                 // the stale symbol from the owner's scope and mint fresh.
-                self.ctx.symbols.sym_mut(owner).decls.retain(|&x| x != e);
+                self.ctx.symbols.retain_decls(owner, |&x| x != e);
             }
         }
         let s = self.ctx.symbols.new_term(owner, name, flags, info);
@@ -295,14 +315,14 @@ impl<'a> Typer<'a> {
                 let d = self.ctx.symbols.sym_mut(e);
                 d.flags = flags;
                 d.span = c.span;
-                d.set_parents(Vec::new());
+                d.set_parents(TypeList::new());
                 d.tparams = Vec::new();
                 e
             }
             Some(e) => {
                 // The name changed kind (e.g. a def became a class): retire
                 // the previous-generation symbol and mint a fresh one.
-                self.ctx.symbols.sym_mut(owner).decls.retain(|&x| x != e);
+                self.ctx.symbols.retain_decls(owner, |&x| x != e);
                 let s = self
                     .ctx
                     .symbols
@@ -384,7 +404,7 @@ impl<'a> Typer<'a> {
                 }
             }
         }
-        self.ctx.symbols.sym_mut(sym).set_parents(parents);
+        self.ctx.symbols.sym_mut(sym).set_parents(parents.into());
 
         if c.is_trait && !c.params.is_empty() {
             self.error(c.span, "traits cannot have constructor parameters");
@@ -392,25 +412,28 @@ impl<'a> Typer<'a> {
 
         // Constructor parameters become fields; the constructor symbol takes
         // them as arguments.
-        let mut ctor_param_types = Vec::new();
-        let mut ctor_param_syms = Vec::new();
-        for p in &c.params {
-            let t = self.resolve_type(&p.tpe);
-            if matches!(t, Type::ByName(_) | Type::Repeated(_)) {
-                self.error(p.span, "class parameters cannot be by-name or repeated");
-            }
-            let f = self.reuse_or_new_term(sym, p.name, Flags::PARAM, t.clone(), p.span);
-            ctor_param_types.push(t);
-            ctor_param_syms.push(f);
-        }
+        let mut ctor_param_syms = Vec::with_capacity(c.params.len());
+        let ctor_param_types: TypeList = c
+            .params
+            .iter()
+            .map(|p| {
+                let t = self.resolve_type(&p.tpe);
+                if matches!(t, Type::ByName(_) | Type::Repeated(_)) {
+                    self.error(p.span, "class parameters cannot be by-name or repeated");
+                }
+                let f = self.reuse_or_new_term(sym, p.name, Flags::PARAM, t.clone(), p.span);
+                ctor_param_syms.push(f);
+                t
+            })
+            .collect();
         if !c.is_trait {
             let ctor = self.reuse_or_new_term(
                 sym,
                 std_names::init(),
                 Flags::METHOD | Flags::CONSTRUCTOR | Flags::SYNTHETIC,
                 Type::Method {
-                    params: vec![ctor_param_types],
-                    ret: Box::new(Type::Unit),
+                    params: [ctor_param_types].into(),
+                    ret: Arc::new(Type::Unit),
                 },
                 Span::SYNTHETIC,
             );
@@ -470,7 +493,7 @@ impl<'a> Typer<'a> {
             // dropped. (Locals entered later by body typing append after
             // this, exactly as they do on the batch path.)
             if let Some(rebuilt) = self.rebuilt_decls.remove(&sym) {
-                self.ctx.symbols.sym_mut(sym).decls = rebuilt;
+                self.ctx.symbols.set_decls(sym, rebuilt);
             }
         }
         self.tscopes.pop();
@@ -523,7 +546,7 @@ impl<'a> Typer<'a> {
                 data.flags = flags;
                 data.set_info(Type::NoType);
                 data.span = d.span;
-                data.decls.clear();
+                data.clear_decls();
                 data.tparams.clear();
                 self.push_rebuilt(owner, e);
                 e
@@ -533,11 +556,7 @@ impl<'a> Typer<'a> {
                     if let Some(stale) = self.ctx.symbols.decl(owner, d.name) {
                         if self.is_prev_gen(owner, stale) {
                             // The name changed kind; retire the stale symbol.
-                            self.ctx
-                                .symbols
-                                .sym_mut(owner)
-                                .decls
-                                .retain(|&x| x != stale);
+                            self.ctx.symbols.retain_decls(owner, |&x| x != stale);
                         }
                     }
                 }
@@ -565,28 +584,33 @@ impl<'a> Typer<'a> {
             .collect();
         self.tscopes.push(tmap);
 
-        let mut param_types = Vec::new();
-        let mut param_syms = Vec::new();
-        for clause in &d.paramss {
-            let mut types = Vec::new();
-            let mut syms = Vec::new();
-            for p in clause {
-                let t = self.resolve_type(&p.tpe);
-                let mut pflags = Flags::PARAM;
-                if matches!(t, Type::ByName(_)) {
-                    pflags |= Flags::BY_NAME;
-                }
-                if matches!(t, Type::Repeated(_)) {
-                    pflags |= Flags::REPEATED;
-                }
-                let ps = self.ctx.symbols.new_term(sym, p.name, pflags, t.clone());
-                self.ctx.symbols.sym_mut(ps).span = p.span;
-                types.push(t);
-                syms.push(ps);
-            }
-            param_types.push(types);
-            param_syms.push(syms);
-        }
+        let mut param_syms = Vec::with_capacity(d.paramss.len());
+        let param_types: SharedList<TypeList> = d
+            .paramss
+            .iter()
+            .map(|clause| {
+                let mut syms = Vec::with_capacity(clause.len());
+                let types = clause
+                    .iter()
+                    .map(|p| {
+                        let t = self.resolve_type(&p.tpe);
+                        let mut pflags = Flags::PARAM;
+                        if matches!(t, Type::ByName(_)) {
+                            pflags |= Flags::BY_NAME;
+                        }
+                        if matches!(t, Type::Repeated(_)) {
+                            pflags |= Flags::REPEATED;
+                        }
+                        let ps = self.ctx.symbols.new_term(sym, p.name, pflags, t.clone());
+                        self.ctx.symbols.sym_mut(ps).span = p.span;
+                        syms.push(ps);
+                        t
+                    })
+                    .collect();
+                param_syms.push(syms);
+                types
+            })
+            .collect();
         let ret = match &d.ret {
             Some(rt) => self.resolve_type(rt),
             None => {
@@ -596,18 +620,18 @@ impl<'a> Typer<'a> {
         };
         let mtype = Type::Method {
             params: if param_types.is_empty() {
-                vec![Vec::new()]
+                [TypeList::new()].into()
             } else {
                 param_types
             },
-            ret: Box::new(ret),
+            ret: Arc::new(ret),
         };
         let info = if tparams.is_empty() {
             mtype
         } else {
             Type::Poly {
-                tparams,
-                underlying: Box::new(mtype),
+                tparams: tparams.iter().copied().collect(),
+                underlying: Arc::new(mtype),
             }
         };
         self.ctx.symbols.sym_mut(sym).set_info(info);
@@ -625,7 +649,7 @@ impl<'a> Typer<'a> {
     fn resolve_type(&mut self, st: &SType) -> Type {
         match st {
             SType::Named { name, targs, span } => {
-                let targs_r: Vec<Type> = targs.iter().map(|t| self.resolve_type(t)).collect();
+                let targs_r: TypeList = targs.iter().map(|t| self.resolve_type(t)).collect();
                 // Type parameters in scope.
                 for scope in self.tscopes.iter().rev() {
                     if let Some(&tp) = scope.get(name) {
@@ -649,7 +673,7 @@ impl<'a> Typer<'a> {
                             self.error(*span, "Array takes exactly one type argument");
                             return Type::Error;
                         }
-                        return Type::Array(Box::new(targs_r.into_iter().next().unwrap()));
+                        return Type::Array(Arc::new(targs_r[0].clone()));
                     }
                     _ => {}
                 }
@@ -696,10 +720,10 @@ impl<'a> Typer<'a> {
             }
             SType::Func { params, ret } => Type::Function {
                 params: params.iter().map(|p| self.resolve_type(p)).collect(),
-                ret: Box::new(self.resolve_type(ret)),
+                ret: Arc::new(self.resolve_type(ret)),
             },
-            SType::ByName(t) => Type::ByName(Box::new(self.resolve_type(t))),
-            SType::Repeated(t) => Type::Repeated(Box::new(self.resolve_type(t))),
+            SType::ByName(t) => Type::ByName(Arc::new(self.resolve_type(t))),
+            SType::Repeated(t) => Type::Repeated(Arc::new(self.resolve_type(t))),
         }
     }
 
@@ -1068,35 +1092,37 @@ impl<'a> Typer<'a> {
             SExpr::Lambda(params, body, span) => {
                 let owner = self.current_owner();
                 let mut scope = HashMap::new();
-                let mut ptypes = Vec::new();
-                let mut ptrees = Vec::new();
-                for p in params {
-                    let t = self.resolve_type(&p.tpe);
-                    if matches!(t, Type::ByName(_) | Type::Repeated(_)) {
-                        self.error(p.span, "lambda parameters cannot be by-name or repeated");
-                    }
-                    let ps = self
-                        .ctx
-                        .symbols
-                        .new_term(owner, p.name, Flags::PARAM, t.clone());
-                    scope.insert(p.name, ps);
-                    ptypes.push(t);
-                    let empty = self.ctx.empty();
-                    ptrees.push(self.ctx.mk(
-                        TreeKind::ValDef {
-                            sym: ps,
-                            rhs: empty,
-                        },
-                        Type::Unit,
-                        p.span,
-                    ));
-                }
+                let mut ptrees = Vec::with_capacity(params.len());
+                let ptypes: TypeList = params
+                    .iter()
+                    .map(|p| {
+                        let t = self.resolve_type(&p.tpe);
+                        if matches!(t, Type::ByName(_) | Type::Repeated(_)) {
+                            self.error(p.span, "lambda parameters cannot be by-name or repeated");
+                        }
+                        let ps = self
+                            .ctx
+                            .symbols
+                            .new_term(owner, p.name, Flags::PARAM, t.clone());
+                        scope.insert(p.name, ps);
+                        let empty = self.ctx.empty();
+                        ptrees.push(self.ctx.mk(
+                            TreeKind::ValDef {
+                                sym: ps,
+                                rhs: empty,
+                            },
+                            Type::Unit,
+                            p.span,
+                        ));
+                        t
+                    })
+                    .collect();
                 self.scopes.push(scope);
                 let b = self.type_expr(body, None);
                 self.scopes.pop();
                 let tpe = Type::Function {
                     params: ptypes,
-                    ret: Box::new(b.tpe().clone()),
+                    ret: Arc::new(b.tpe().clone()),
                 };
                 self.ctx.mk(
                     TreeKind::Lambda {
@@ -1112,28 +1138,14 @@ impl<'a> Typer<'a> {
                 match op.as_str() {
                     "!" => {
                         self.check_conforms(t.tpe(), &Type::Boolean, *span);
-                        let sel = self.ctx.select(
-                            t,
-                            *op,
-                            SymbolId::NONE,
-                            Type::Method {
-                                params: vec![vec![]],
-                                ret: Box::new(Type::Boolean),
-                            },
-                        );
+                        let op_t = self.operator_type(None, Type::Boolean);
+                        let sel = self.ctx.select(t, *op, SymbolId::NONE, op_t);
                         self.ctx.apply(sel, vec![], Type::Boolean)
                     }
                     "-" => {
                         self.check_conforms(t.tpe(), &Type::Int, *span);
-                        let sel = self.ctx.select(
-                            t,
-                            *op,
-                            SymbolId::NONE,
-                            Type::Method {
-                                params: vec![vec![]],
-                                ret: Box::new(Type::Int),
-                            },
-                        );
+                        let op_t = self.operator_type(None, Type::Int);
+                        let sel = self.ctx.select(t, *op, SymbolId::NONE, op_t);
                         self.ctx.apply(sel, vec![], Type::Int)
                     }
                     other => self.error_tree(*span, format!("unknown unary operator `{other}`")),
@@ -1171,16 +1183,14 @@ impl<'a> Typer<'a> {
         // Stamp the full `lhs op rhs` source span on the desugared call so
         // downstream diagnostics (lint findings, checker failures) anchor on
         // real source positions instead of SYNTHETIC.
+        let op_t = self.operator_type(Some(arg_t), result.clone());
         let sel = self.ctx.mk(
             TreeKind::Select {
                 qual: l,
                 name: op,
                 sym: SymbolId::NONE,
             },
-            Type::Method {
-                params: vec![vec![arg_t]],
-                ret: Box::new(result.clone()),
-            },
+            op_t,
             span,
         );
         self.ctx.mk(
@@ -1233,15 +1243,15 @@ impl<'a> Typer<'a> {
                 }
                 "apply" => {
                     let m = Type::Method {
-                        params: vec![vec![Type::Int]],
-                        ret: Box::new((**elem).clone()),
+                        params: [TypeList::from([Type::Int])].into(),
+                        ret: Arc::clone(elem),
                     };
                     return self.ctx.select(q, name, SymbolId::NONE, m);
                 }
                 "update" => {
                     let m = Type::Method {
-                        params: vec![vec![Type::Int, (**elem).clone()]],
-                        ret: Box::new(Type::Unit),
+                        params: [TypeList::from([Type::Int, (**elem).clone()])].into(),
+                        ret: Arc::new(Type::Unit),
                     };
                     return self.ctx.select(q, name, SymbolId::NONE, m);
                 }
@@ -1302,7 +1312,7 @@ impl<'a> Typer<'a> {
         // Applying a function value: sugar for `.apply`.
         if let Type::Function { params, ret } = &f_t {
             let m = Type::Method {
-                params: vec![params.clone()],
+                params: [params.clone()].into(),
                 ret: ret.clone(),
             };
             let apply_sym = self
@@ -1317,7 +1327,7 @@ impl<'a> Typer<'a> {
         // Array element read `a(i)`.
         if let Type::Array(elem) = &f_t {
             let m = Type::Method {
-                params: vec![vec![Type::Int]],
+                params: [TypeList::from([Type::Int])].into(),
                 ret: elem.clone(),
             };
             let sel = self
@@ -1439,7 +1449,7 @@ impl<'a> Typer<'a> {
         }
         let result = if params.len() > 1 {
             Type::Method {
-                params: params[1..].to_vec(),
+                params: params[1..].iter().cloned().collect(),
                 ret: ret.clone(),
             }
         } else {
@@ -1473,8 +1483,8 @@ impl<'a> Typer<'a> {
                     .ctx
                     .mk(TreeKind::New { tpe: t.clone() }, t.clone(), span);
                 let m = Type::Method {
-                    params: vec![vec![Type::Int]],
-                    ret: Box::new(t.clone()),
+                    params: [TypeList::from([Type::Int])].into(),
+                    ret: Arc::new(t.clone()),
                 };
                 let sel = self
                     .ctx
@@ -1525,8 +1535,8 @@ impl<'a> Typer<'a> {
                 let v = self.type_expr(rhs, Some(&elem));
                 self.check_conforms(v.tpe(), &elem, span);
                 let m = Type::Method {
-                    params: vec![vec![Type::Int, (*elem).clone()]],
-                    ret: Box::new(Type::Unit),
+                    params: [TypeList::from([Type::Int, (*elem).clone()])].into(),
+                    ret: Arc::new(Type::Unit),
                 };
                 let sel = self
                     .ctx

@@ -389,7 +389,7 @@ fn hash_symbol_surface(h: &mut Fnv64, symbols: &SymbolTable, sym: SymbolId) {
     }
     if d.kind == SymKind::Class {
         let mut members: Vec<SymbolId> = d
-            .decls
+            .decls()
             .iter()
             .copied()
             .filter(|&m| symbols.sym(m).kind != SymKind::TypeParam)
@@ -448,7 +448,8 @@ pub fn export_interface_hash(symbols: &SymbolTable, top_syms: &[SymbolId]) -> u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Ctx, Flags, Name, Span, Type};
+    use crate::{Ctx, Flags, Name, Span, Type, TypeList};
+    use std::sync::Arc;
 
     #[test]
     fn source_fingerprint_is_content_addressed() {
@@ -544,8 +545,8 @@ mod tests {
                 Name::intern("f"),
                 Flags::METHOD,
                 Type::Method {
-                    params: vec![vec![Type::Int]],
-                    ret: Box::new(ret),
+                    params: [TypeList::from([Type::Int])].into(),
+                    ret: Arc::new(ret),
                 },
             );
             symbol_interface_hash(&ctx.symbols, f)

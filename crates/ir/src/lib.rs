@@ -51,4 +51,4 @@ pub use symbol::{
 pub use tree::{
     Kids, NodeId, NodeKind, NodeKindSet, Tree, TreeKind, TreeRef, ALL_NODE_KINDS, NODE_KIND_COUNT,
 };
-pub use types::Type;
+pub use types::{SharedList, Type, TypeList};

@@ -9,9 +9,9 @@
 use crate::flags::Flags;
 use crate::names::{std_names, Name};
 use crate::span::Span;
-use crate::types::Type;
+use crate::types::{Type, TypeList};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -91,9 +91,13 @@ pub struct SymbolData {
     /// Source location of the definition.
     pub span: Span,
     /// Class only: parent types, superclass first.
-    parents: Vec<Type>,
-    /// Class/package only: member symbols in declaration order.
-    pub decls: Vec<SymbolId>,
+    parents: TypeList,
+    /// Class/package only: member symbols in declaration order. Read
+    /// through [`SymbolData::decls`]; written through the table
+    /// ([`SymbolTable::push_decl`], [`SymbolTable::set_decls`],
+    /// [`SymbolTable::retain_decls`], [`SymbolData::clear_decls`]), which
+    /// keeps the name index current.
+    decls: Decls,
     /// Class only: type parameters.
     pub tparams: Vec<SymbolId>,
     /// The period `info` and `parents` were written at: the info
@@ -103,7 +107,8 @@ pub struct SymbolData {
     memo: InfoMemo,
 }
 
-/// Two symbols are equal when their data is; the memo is a cache.
+/// Two symbols are equal when their data is; the memo and the name index
+/// are caches.
 impl PartialEq for SymbolData {
     fn eq(&self, other: &SymbolData) -> bool {
         self.name == other.name
@@ -115,7 +120,7 @@ impl PartialEq for SymbolData {
             && self.info == other.info
             && self.parents == other.parents
             && self.tparams == other.tparams
-            && self.decls == other.decls
+            && self.decls.list == other.decls.list
     }
 }
 
@@ -127,7 +132,7 @@ impl SymbolData {
         owner: SymbolId,
         kind: SymKind,
         info: Type,
-        parents: Vec<Type>,
+        parents: TypeList,
         tparams: Vec<SymbolId>,
         period: u8,
     ) -> SymbolData {
@@ -139,7 +144,7 @@ impl SymbolData {
             info,
             span: Span::SYNTHETIC,
             parents,
-            decls: Vec::new(),
+            decls: Decls::default(),
             tparams,
             period,
             memo: InfoMemo::default(),
@@ -155,8 +160,75 @@ impl SymbolData {
 
     /// Replaces the symbol's parents (same period rule as
     /// [`SymbolData::set_info`]).
-    pub fn set_parents(&mut self, parents: Vec<Type>) {
+    pub fn set_parents(&mut self, parents: TypeList) {
         self.parents = parents;
+    }
+
+    /// The member symbols, in declaration order.
+    pub fn decls(&self) -> &[SymbolId] {
+        &self.decls.list
+    }
+
+    /// Drops every member.
+    pub fn clear_decls(&mut self) {
+        self.decls = Decls::default();
+    }
+}
+
+/// A name index: the first declaration of each name.
+type NameIndex = HashMap<Name, SymbolId>;
+
+/// An owner's declarations, plus an index from each name to its first
+/// declaration, so that [`SymbolTable::decl`] on a large scope (the root
+/// package) is one lookup instead of a scan.
+///
+/// The index is a cache, like the info memo: the first lookup in a scope
+/// of at least [`Decls::INDEX_FROM`] members builds it from the members'
+/// names as the table sees them, appends keep it current, and every other
+/// write drops it, as does a clone (a copied symbol is about to diverge,
+/// and snapshots in worker deltas should not carry it). Renames go through
+/// [`SymbolTable::rename`], which drops the owner's index.
+#[derive(Default)]
+struct Decls {
+    list: Vec<SymbolId>,
+    /// Boxed: most symbols never index, and each symbol pays the slot.
+    by_name: OnceLock<Box<NameIndex>>,
+}
+
+impl Decls {
+    /// Scopes smaller than this are scanned: a short scan is cheaper than
+    /// a hash lookup and saves the index's allocation.
+    const INDEX_FROM: usize = 16;
+
+    /// Appends `d`, named `name`, keeping a built index current.
+    fn push(&mut self, d: SymbolId, name: Name) {
+        self.list.push(d);
+        if let Some(ix) = self.by_name.get_mut() {
+            ix.entry(name).or_insert(d);
+        }
+    }
+
+    /// The list for a write that may reorder or remove members: the index
+    /// is dropped.
+    fn rewrite(&mut self) -> &mut Vec<SymbolId> {
+        self.by_name.take();
+        &mut self.list
+    }
+}
+
+impl Clone for Decls {
+    fn clone(&self) -> Decls {
+        Decls {
+            list: self.list.clone(),
+            by_name: OnceLock::new(),
+        }
+    }
+}
+
+/// Prints as the member list.
+impl fmt::Debug for Decls {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.list).finish()
     }
 }
 
@@ -170,7 +242,8 @@ impl SymbolData {
 /// [`SymbolTable::info_at`]). A transformer must therefore be a pure
 /// function of its arguments: it may consult the table's builtins, but
 /// its result must not depend on other symbols' per-fork state.
-pub type InfoTransform = fn(&SymbolData, &Type, &[Type], &SymbolTable) -> Option<(Type, Vec<Type>)>;
+pub type InfoTransform =
+    fn(&SymbolData, &Type, &TypeList, &SymbolTable) -> Option<(Type, TypeList)>;
 
 /// The info transformers of one pipeline, in the order their phase groups
 /// start. Transformer `k` separates period `k` from period `k + 1`.
@@ -225,7 +298,7 @@ impl InfoPlan {
 /// or `None` while they still equal the stored ones (most symbols pass
 /// most transformers unchanged, so the value is boxed). A read at any
 /// period is one slot lookup.
-type MemoSlot = OnceLock<Option<Box<(Type, Vec<Type>)>>>;
+type MemoSlot = OnceLock<Option<Box<(Type, TypeList)>>>;
 
 /// A symbol's cached `info_at` results, one slot per transformer of the
 /// plan whose key tags them. Allocated on the first read above the
@@ -258,21 +331,21 @@ impl fmt::Debug for InfoMemo {
 
 /// A symbol's info and parents as seen at some period.
 enum Seen<'a> {
-    Borrowed(&'a Type, &'a [Type]),
-    Owned(Type, Vec<Type>),
+    Borrowed(&'a Type, &'a TypeList),
+    Owned(Type, TypeList),
 }
 
 impl Seen<'_> {
-    fn get(&self) -> (&Type, &[Type]) {
+    fn get(&self) -> (&Type, &TypeList) {
         match self {
             Seen::Borrowed(i, p) => (i, p),
             Seen::Owned(i, p) => (i, p),
         }
     }
 
-    fn into_owned(self) -> (Type, Vec<Type>) {
+    fn into_owned(self) -> (Type, TypeList) {
         match self {
-            Seen::Borrowed(i, p) => (i.clone(), p.to_vec()),
+            Seen::Borrowed(i, p) => (i.clone(), p.clone()),
             Seen::Owned(i, p) => (i, p),
         }
     }
@@ -486,7 +559,7 @@ impl SymbolTable {
             SymbolId::NONE,
             SymKind::Package,
             Type::NoType,
-            Vec::new(),
+            TypeList::new(),
             Vec::new(),
             0,
         );
@@ -520,8 +593,8 @@ impl SymbolTable {
             std_names::equals(),
             Flags::METHOD,
             Type::Method {
-                params: vec![vec![Type::Any]],
-                ret: Box::new(Type::Boolean),
+                params: [TypeList::from([Type::Any])].into(),
+                ret: Arc::new(Type::Boolean),
             },
         );
         let to_string_meth = tab.new_term(
@@ -529,8 +602,8 @@ impl SymbolTable {
             std_names::to_string(),
             Flags::METHOD,
             Type::Method {
-                params: vec![vec![]],
-                ret: Box::new(Type::Str),
+                params: [TypeList::new()].into(),
+                ret: Arc::new(Type::Str),
             },
         );
         let get_class_meth = tab.new_term(
@@ -538,8 +611,8 @@ impl SymbolTable {
             std_names::get_class(),
             Flags::METHOD,
             Type::Method {
-                params: vec![vec![]],
-                ret: Box::new(Type::Str),
+                params: [TypeList::new()].into(),
+                ret: Arc::new(Type::Str),
             },
         );
         let println_fn = tab.new_term(
@@ -547,8 +620,8 @@ impl SymbolTable {
             std_names::println(),
             Flags::METHOD | Flags::SYNTHETIC,
             Type::Method {
-                params: vec![vec![Type::Any]],
-                ret: Box::new(Type::Unit),
+                params: [TypeList::from([Type::Any])].into(),
+                ret: Arc::new(Type::Unit),
             },
         );
 
@@ -570,8 +643,12 @@ impl SymbolTable {
             }
             let r = tab.new_type_param(cls, Name::intern("R"));
             let apply_info = Type::Method {
-                params: vec![tparams.iter().map(|&tp| Type::TypeParam(tp)).collect()],
-                ret: Box::new(Type::TypeParam(r)),
+                params: [tparams
+                    .iter()
+                    .map(|&tp| Type::TypeParam(tp))
+                    .collect::<TypeList>()]
+                .into(),
+                ret: Arc::new(Type::TypeParam(r)),
             };
             tab.new_term(
                 cls,
@@ -772,14 +849,24 @@ impl SymbolTable {
     pub fn into_delta(mut self) -> SymbolDelta {
         assert!(self.growth.is_some(), "into_delta on a non-fork table");
         let overlay = self.overlay.take().expect("worker forks have an overlay");
+        // Name indexes are caches of the fork's lookups; a delta lives on
+        // in session caches, so it does not keep them.
         let shards = std::mem::take(&mut self.shards)
             .into_iter()
             .filter(|s| !s.syms.is_empty())
-            .map(Arc::new)
+            .map(|mut s| {
+                for d in &mut s.syms {
+                    d.decls.by_name.take();
+                }
+                Arc::new(s)
+            })
             .collect();
         let dirty = overlay
             .into_iter()
-            .map(|(id, fin)| {
+            .map(|(id, mut fin)| {
+                if let Some(d) = Arc::get_mut(&mut fin) {
+                    d.decls.by_name.take();
+                }
                 let fork = self.pre_fork_sym(SymbolId(id)).clone();
                 (SymbolId(id), fork, fin)
             })
@@ -817,6 +904,8 @@ impl SymbolTable {
     /// per-(group, unit) deltas; do that before adding any consumer that
     /// reads shared-owner decls order.
     pub fn adopt(&mut self, delta: &SymbolDelta) {
+        // Owners of renamed symbols: their name indexes saw the old names.
+        let mut renamed_in = Vec::new();
         for (id, fork, fin) in delta.dirty.iter() {
             if self
                 .overlay
@@ -830,6 +919,7 @@ impl SymbolTable {
             let cur = self.raw_mut(*id);
             if fin.name != fork.name {
                 cur.name = fin.name;
+                renamed_in.extend([fork.owner, fin.owner]);
             }
             if fin.flags != fork.flags {
                 cur.flags = fin.flags;
@@ -854,18 +944,29 @@ impl SymbolTable {
             if fin.tparams != fork.tparams {
                 cur.tparams = fin.tparams.clone();
             }
-            if fin.decls.len() >= fork.decls.len()
-                && fin.decls[..fork.decls.len()] == fork.decls[..]
-            {
-                cur.decls.extend_from_slice(&fin.decls[fork.decls.len()..]);
-            } else if fin.decls != fork.decls {
-                cur.decls = fin.decls.clone();
+            let (fin_decls, fork_decls) = (fin.decls(), fork.decls());
+            if fin_decls.len() >= fork_decls.len() && fin_decls[..fork_decls.len()] == *fork_decls {
+                if fin_decls.len() > fork_decls.len() {
+                    // New members may live in the delta's shards, which
+                    // are adopted below: drop the index rather than name them.
+                    cur.decls
+                        .rewrite()
+                        .extend_from_slice(&fin_decls[fork_decls.len()..]);
+                }
+            } else if fin_decls != fork_decls {
+                *cur.decls.rewrite() = fin_decls.to_vec();
             }
         }
         if !delta.shards.is_empty() {
             let adopted = Arc::make_mut(&mut self.adopted);
             adopted.extend(delta.shards.iter().cloned());
             adopted.sort_by_key(|s| s.start);
+        }
+        for owner in renamed_in {
+            // The delta's own symbols carry the fork's (final) names.
+            if owner.exists() && delta.new_symbol(owner).is_none() {
+                self.raw_mut(owner).decls.by_name.take();
+            }
         }
     }
 
@@ -915,9 +1016,36 @@ impl SymbolTable {
             id
         };
         if owner.exists() {
-            self.sym_mut(owner).decls.push(id);
+            self.push_decl(owner, id);
         }
         id
+    }
+
+    /// Appends `d` to `owner`'s declarations.
+    pub fn push_decl(&mut self, owner: SymbolId, d: SymbolId) {
+        let name = self.sym(d).name;
+        self.sym_mut(owner).decls.push(d, name);
+    }
+
+    /// Replaces `owner`'s declarations.
+    pub fn set_decls(&mut self, owner: SymbolId, decls: Vec<SymbolId>) {
+        *self.sym_mut(owner).decls.rewrite() = decls;
+    }
+
+    /// Keeps the declarations of `owner` for which `keep` holds, in order.
+    pub fn retain_decls(&mut self, owner: SymbolId, keep: impl FnMut(&SymbolId) -> bool) {
+        self.sym_mut(owner).decls.rewrite().retain(keep);
+    }
+
+    /// Renames symbol `id`. Its owner's name index is dropped (and, on a
+    /// fork or view, the owner is copied out of the shared base, whose
+    /// index other tables read).
+    pub fn rename(&mut self, id: SymbolId, name: Name) {
+        self.sym_mut(id).name = name;
+        let owner = self.sym(id).owner;
+        if owner.exists() {
+            self.raw_mut(owner).decls.by_name.take();
+        }
     }
 
     /// Creates a new term symbol (val/var/def/param/local) owned by `owner`
@@ -929,7 +1057,7 @@ impl SymbolTable {
             owner,
             SymKind::Term,
             info,
-            Vec::new(),
+            TypeList::new(),
             Vec::new(),
         )
     }
@@ -940,7 +1068,7 @@ impl SymbolTable {
         owner: SymbolId,
         name: Name,
         flags: Flags,
-        parents: Vec<Type>,
+        parents: impl Into<TypeList>,
         tparams: Vec<SymbolId>,
     ) -> SymbolId {
         self.alloc_new(
@@ -949,7 +1077,7 @@ impl SymbolTable {
             owner,
             SymKind::Class,
             Type::NoType,
-            parents,
+            parents.into(),
             tparams,
         )
     }
@@ -963,7 +1091,7 @@ impl SymbolTable {
             owner,
             SymKind::TypeParam,
             Type::Any,
-            Vec::new(),
+            TypeList::new(),
             Vec::new(),
         )
     }
@@ -977,7 +1105,7 @@ impl SymbolTable {
             owner,
             SymKind::Label,
             info,
-            Vec::new(),
+            TypeList::new(),
             Vec::new(),
         )
     }
@@ -991,7 +1119,7 @@ impl SymbolTable {
             owner,
             SymKind::Package,
             Type::NoType,
-            Vec::new(),
+            TypeList::new(),
             Vec::new(),
         )
     }
@@ -1006,7 +1134,7 @@ impl SymbolTable {
         owner: SymbolId,
         kind: SymKind,
         info: Type,
-        parents: Vec<Type>,
+        parents: TypeList,
         tparams: Vec<SymbolId>,
     ) -> SymbolId {
         let period = self.period;
@@ -1188,7 +1316,7 @@ impl SymbolTable {
         }
         match self.seen_later(d, period) {
             Seen::Borrowed(_, parents) => Cow::Borrowed(parents),
-            Seen::Owned(_, parents) => Cow::Owned(parents),
+            Seen::Owned(_, parents) => Cow::Owned(parents.to_vec()),
         }
     }
 
@@ -1236,7 +1364,7 @@ impl SymbolTable {
         slots: &'a [MemoSlot],
         from: usize,
         k: usize,
-    ) -> Option<&'a (Type, Vec<Type>)> {
+    ) -> Option<&'a (Type, TypeList)> {
         slots[k]
             .get_or_init(|| {
                 let below = if k == from {
@@ -1244,7 +1372,7 @@ impl SymbolTable {
                 } else {
                     self.memo_slot(d, slots, from, k - 1)
                 };
-                let (info, parents) = below.map_or((&d.info, &d.parents[..]), |b| (&b.0, &b.1));
+                let (info, parents) = below.map_or((&d.info, &d.parents), |b| (&b.0, &b.1));
                 match (self.plan.transforms[k])(d, info, parents, self) {
                     Some(seen) => Some(Box::new(seen)),
                     None => below.map(|b| Box::new(b.clone())),
@@ -1316,7 +1444,7 @@ impl SymbolTable {
     pub fn class_type(&self, cls: SymbolId) -> Type {
         Type::Class {
             sym: cls,
-            targs: Vec::new(),
+            targs: TypeList::new(),
         }
     }
 
@@ -1388,8 +1516,7 @@ impl SymbolTable {
                 let n = params.len();
                 if n < self.builtins.function_classes.len() {
                     let cls = self.builtins.function_classes[n];
-                    let mut targs = params.clone();
-                    targs.push((**ret).clone());
+                    let targs = function_targs(params, ret);
                     self.base_type(&Type::Class { sym: cls, targs }, target)
                 } else {
                     None
@@ -1504,34 +1631,51 @@ impl SymbolTable {
     /// * function types erase to the corresponding `FunctionN` class;
     /// * by-name types erase to `Function0`;
     /// * repeated types erase to arrays;
+    /// * method types flatten their parameter lists into one;
     /// * polymorphic methods lose their binders;
     /// * union members erase to their join.
+    ///
+    /// A type that erasure leaves unchanged is returned shared (a clone of
+    /// `t`), and so is every unchanged part of a type it rebuilds.
     pub fn erase(&self, t: &Type) -> Type {
-        match t {
+        self.erase_changed(t).unwrap_or_else(|| t.clone())
+    }
+
+    /// The erasure of `t`, or `None` when it equals `t` itself. Exact, not
+    /// [`Type::is_erased`]: a method with zero parameter lists still erases
+    /// to one empty list, and a `TermRef` still widens.
+    pub fn erase_changed(&self, t: &Type) -> Option<Type> {
+        let class = |sym| Type::Class {
+            sym,
+            targs: TypeList::new(),
+        };
+        Some(match t {
             Type::TypeParam(_) => Type::Any,
             Type::TermRef(_) => self.erase(&self.widen(t.clone())),
-            Type::Class { sym, .. } => Type::Class {
-                sym: *sym,
-                targs: Vec::new(),
-            },
+            Type::Class { targs, .. } if targs.is_empty() => return None,
+            Type::Class { sym, .. } => class(*sym),
             Type::Function { params, .. } => {
                 let n = params.len().min(self.builtins.function_classes.len() - 1);
-                Type::Class {
-                    sym: self.builtins.function_classes[n],
-                    targs: Vec::new(),
-                }
+                class(self.builtins.function_classes[n])
             }
-            Type::ByName(_) => Type::Class {
-                sym: self.builtins.function_classes[0],
-                targs: Vec::new(),
-            },
-            Type::Repeated(e) => Type::Array(Box::new(self.erase(e))),
-            Type::Array(e) => Type::Array(Box::new(self.erase(e))),
+            Type::ByName(_) => class(self.builtins.function_classes[0]),
+            Type::Repeated(e) => Type::Array(self.erase_shared(e)),
+            Type::Array(e) => Type::Array(Arc::new(self.erase_changed(e)?)),
             Type::Method { params, ret } => {
-                let flat: Vec<Type> = params.iter().flatten().map(|p| self.erase(p)).collect();
+                let flat_changed =
+                    params.len() != 1 || params[0].iter().any(|p| self.erase_changed(p).is_some());
+                let ret_changed = self.erase_changed(ret).is_some();
+                if !flat_changed && !ret_changed {
+                    return None;
+                }
+                let flat: TypeList = match &params[..] {
+                    [ps] if !flat_changed => ps.clone(),
+                    [ps] => ps.iter().map(|p| self.erase(p)).collect(),
+                    _ => params.iter().flatten().map(|p| self.erase(p)).collect(),
+                };
                 Type::Method {
-                    params: vec![flat],
-                    ret: Box::new(self.erase(ret)),
+                    params: [flat].into(),
+                    ret: self.erase_shared(ret),
                 }
             }
             Type::Poly { underlying, .. } => self.erase(underlying),
@@ -1546,17 +1690,44 @@ impl SymbolTable {
                     Type::Any
                 }
             }
-            other => other.clone(),
+            _ => return None,
+        })
+    }
+
+    /// [`SymbolTable::erase`] of a shared child: the same handle when
+    /// erasure leaves it unchanged.
+    fn erase_shared(&self, t: &Arc<Type>) -> Arc<Type> {
+        match self.erase_changed(t) {
+            Some(e) => Arc::new(e),
+            None => Arc::clone(t),
         }
     }
 
-    /// Looks up a declaration of `name` directly in `owner`.
+    /// Looks up a declaration of `name` directly in `owner`: the first
+    /// member with that name, in declaration order.
     pub fn decl(&self, owner: SymbolId, name: Name) -> Option<SymbolId> {
-        self.sym(owner)
-            .decls
-            .iter()
-            .copied()
-            .find(|&d| self.sym(d).name == name)
+        let decls = &self.sym(owner).decls;
+        if decls.list.len() < Decls::INDEX_FROM {
+            return self.scan_decls(&decls.list, name);
+        }
+        let ix = decls.by_name.get_or_init(|| {
+            let mut ix = NameIndex::with_capacity(decls.list.len());
+            for &d in &decls.list {
+                ix.entry(self.sym(d).name).or_insert(d);
+            }
+            Box::new(ix)
+        });
+        let found = ix.get(&name).copied();
+        debug_assert_eq!(
+            found,
+            self.scan_decls(&decls.list, name),
+            "stale name index on {owner:?}"
+        );
+        found
+    }
+
+    fn scan_decls(&self, decls: &[SymbolId], name: Name) -> Option<SymbolId> {
+        decls.iter().copied().find(|&d| self.sym(d).name == name)
     }
 
     /// Member lookup on a type: walks the linearization of the underlying
@@ -1588,8 +1759,7 @@ impl SymbolTable {
             Type::Function { params, ret } => {
                 let n = params.len();
                 if n < self.builtins.function_classes.len() {
-                    let mut targs = params.clone();
-                    targs.push((**ret).clone());
+                    let targs = function_targs(params, ret);
                     self.member(
                         &Type::Class {
                             sym: self.builtins.function_classes[n],
@@ -1640,7 +1810,7 @@ impl SymbolTable {
 
     /// All symbols whose owner is `owner` (snapshot).
     pub fn decls_of(&self, owner: SymbolId) -> Vec<SymbolId> {
-        self.sym(owner).decls.clone()
+        self.sym(owner).decls().to_vec()
     }
 
     /// Human-readable qualified name for diagnostics.
@@ -1663,6 +1833,12 @@ impl SymbolTable {
         }
         out
     }
+}
+
+/// The type arguments of the `FunctionN` class a function type stands
+/// for: its parameter types, then its result type.
+fn function_targs(params: &TypeList, ret: &Type) -> TypeList {
+    params.iter().chain([ret]).cloned().collect()
 }
 
 impl Default for SymbolTable {
@@ -1745,7 +1921,7 @@ mod tests {
             Flags::EMPTY,
             vec![Type::Class {
                 sym: box_cls,
-                targs: vec![Type::Int],
+                targs: [Type::Int].into(),
             }],
             vec![],
         );
@@ -1756,7 +1932,7 @@ mod tests {
             bt,
             Type::Class {
                 sym: box_cls,
-                targs: vec![Type::Int]
+                targs: [Type::Int].into()
             }
         );
         // Member as seen from IntBox substitutes T := Int.
@@ -1799,18 +1975,22 @@ mod tests {
         tab.sym_mut(cls).tparams = vec![t];
         let generic = Type::Class {
             sym: cls,
-            targs: vec![Type::Int],
+            targs: [Type::Int].into(),
         };
         assert!(tab.erase(&generic).is_erased());
         let f = Type::Function {
-            params: vec![Type::Int],
-            ret: Box::new(Type::Boolean),
+            params: [Type::Int].into(),
+            ret: Arc::new(Type::Boolean),
         };
         let ef = tab.erase(&f);
         assert_eq!(ef.class_sym(), Some(tab.builtins().function_classes[1]));
         let m = Type::Method {
-            params: vec![vec![Type::TypeParam(t)], vec![Type::Int]],
-            ret: Box::new(Type::Repeated(Box::new(Type::TypeParam(t)))),
+            params: [
+                TypeList::from([Type::TypeParam(t)]),
+                TypeList::from([Type::Int]),
+            ]
+            .into(),
+            ret: Arc::new(Type::Repeated(Arc::new(Type::TypeParam(t)))),
         };
         let em = tab.erase(&m);
         assert!(em.is_erased(), "{em}");
@@ -1821,20 +2001,20 @@ mod tests {
     fn function_types_subtype_function_classes() {
         let tab = SymbolTable::new();
         let f1 = Type::Function {
-            params: vec![Type::Int],
-            ret: Box::new(Type::Boolean),
+            params: [Type::Int].into(),
+            ret: Arc::new(Type::Boolean),
         };
         let cls = Type::Class {
             sym: tab.builtins().function_classes[1],
-            targs: vec![Type::Int, Type::Boolean],
+            targs: [Type::Int, Type::Boolean].into(),
         };
         assert!(tab.is_subtype(&f1, &cls));
         let apply = tab.member(&f1, std_names::apply()).expect("apply member");
         assert_eq!(
             apply.1,
             Type::Method {
-                params: vec![vec![Type::Int]],
-                ret: Box::new(Type::Boolean)
+                params: [TypeList::from([Type::Int])].into(),
+                ret: Arc::new(Type::Boolean)
             }
         );
     }
@@ -1847,8 +2027,8 @@ mod tests {
             Name::from("m"),
             Flags::METHOD,
             Type::Method {
-                params: vec![vec![Type::Int]],
-                ret: Box::new(Type::Int),
+                params: [TypeList::from([Type::Int])].into(),
+                ret: Arc::new(Type::Int),
             },
         );
         let sub_m = tab.new_term(
@@ -1856,8 +2036,8 @@ mod tests {
             Name::from("m"),
             Flags::METHOD | Flags::OVERRIDE,
             Type::Method {
-                params: vec![vec![Type::Int]],
-                ret: Box::new(Type::Int),
+                params: [TypeList::from([Type::Int])].into(),
+                ret: Arc::new(Type::Int),
             },
         );
         assert_eq!(tab.overridden(c, sub_m), Some(base_m));
@@ -1873,7 +2053,7 @@ mod tests {
     #[test]
     fn union_subtyping() {
         let tab = SymbolTable::new();
-        let u = Type::Or(Box::new(Type::Int), Box::new(Type::Str));
+        let u = Type::Or(Arc::new(Type::Int), Arc::new(Type::Str));
         assert!(tab.is_subtype(&Type::Int, &u));
         assert!(tab.is_subtype(&Type::Str, &u));
         assert!(tab.is_subtype(&u, &Type::Any));
@@ -1912,7 +2092,10 @@ mod tests {
             tab.sym(pkg).flags.is(Flags::SYNTHETIC),
             "base mutation merged"
         );
-        assert!(tab.sym(pkg).decls.contains(&c), "owner decls append merged");
+        assert!(
+            tab.sym(pkg).decls().contains(&c),
+            "owner decls append merged"
+        );
         assert!(tab.ids().any(|i| i == c), "ids() covers adopted shards");
 
         // Run 2: a later fork mutates the symbol that lives in run 1's
@@ -1926,6 +2109,54 @@ mod tests {
             tab.sym(c).flags.is(Flags::LIFTED),
             "adopted-shard mutation survives the merge"
         );
+    }
+
+    #[test]
+    fn renames_keep_a_large_scopes_name_index_current() {
+        let mut tab = SymbolTable::new();
+        let pkg = tab.builtins().root_pkg;
+        let outer = tab.new_class(pkg, Name::from("Outer"), Flags::EMPTY, vec![], vec![]);
+        for i in 0..Decls::INDEX_FROM {
+            tab.new_term(
+                outer,
+                Name::intern(&format!("m{i}")),
+                Flags::EMPTY,
+                Type::Int,
+            );
+        }
+        let inner = tab.new_class(outer, Name::from("Inner"), Flags::EMPTY, vec![], vec![]);
+        let (old, new) = (Name::from("Inner"), Name::from("Outer$Inner"));
+        // The lookup builds the index; the rename must not leave it stale.
+        assert_eq!(tab.decl(outer, old), Some(inner));
+        let view = tab.splice_view();
+        tab.rename(inner, new);
+        assert_eq!(tab.decl(outer, old), None);
+        assert_eq!(tab.decl(outer, new), Some(inner));
+        // A view over the pre-rename base still sees the old name.
+        assert_eq!(view.decl(outer, old), Some(inner));
+        drop(view);
+
+        // The same through a worker fork and the merge: the fork renames
+        // back, its shared base keeps its own index, and the merged table
+        // and a view adopting the delta see the fork's name.
+        assert_eq!(tab.decl(outer, new), Some(inner));
+        let start = tab.id_ceiling() + 100;
+        let mut fork = tab.fork_for_worker(start, 50, roomy_growth(start + 50, 50));
+        fork.rename(inner, old);
+        assert_eq!(fork.decl(outer, old), Some(inner));
+        assert_eq!(fork.decl(outer, new), None);
+        assert_eq!(tab.decl(outer, new), Some(inner), "the base is untouched");
+        let delta = fork.into_delta();
+        let mut view = tab.splice_view();
+        view.adopt(&delta);
+        assert_eq!(view.decl(outer, old), Some(inner));
+        assert_eq!(view.decl(outer, new), None);
+        // With the view gone the table merges in place, keeping the index
+        // its lookups built.
+        drop(view);
+        tab.adopt(&delta);
+        assert_eq!(tab.decl(outer, old), Some(inner));
+        assert_eq!(tab.decl(outer, new), None);
     }
 
     #[test]
@@ -1976,11 +2207,11 @@ mod tests {
     fn counting_transform(
         _sym: &SymbolData,
         info: &Type,
-        parents: &[Type],
+        parents: &TypeList,
         _symbols: &SymbolTable,
-    ) -> Option<(Type, Vec<Type>)> {
+    ) -> Option<(Type, TypeList)> {
         DERIVATIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        (*info == Type::Int).then(|| (Type::Boolean, parents.to_vec()))
+        (*info == Type::Int).then(|| (Type::Boolean, parents.clone()))
     }
 
     #[test]

@@ -6,19 +6,173 @@
 //! so those operations live on [`crate::SymbolTable`]; this module holds the
 //! representation and the context-free operations (erasure structure,
 //! substitution, widening).
+//!
+//! # Sharing
+//!
+//! A [`Type`] is an immutable value whose composite parts are shared:
+//! every child type sits behind an [`Arc`] and every list (type arguments,
+//! parameters, parameter lists, binders) is a [`SharedList`]. Cloning a type
+//! therefore copies its handles and bumps at most two reference counts; it
+//! never allocates and never walks the type. A tree node's `tpe`,
+//! a symbol's info read through [`crate::SymbolTable::info`], a memoized
+//! info and an erased type that erasure left unchanged all point at the
+//! same payloads. Nothing mutates a payload once it is built, so equal
+//! sharing implies equal values, and `==` short-circuits on pointer
+//! identity before comparing structure.
+//!
+//! The handles are `Arc`, not `Rc`, because types live in
+//! [`crate::SymbolData`], which parallel compilation shares across worker
+//! threads: `Type` must stay `Send + Sync`.
 
 use crate::symbol::SymbolId;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// A MiniScala type.
+/// An immutable, shared list: a clone bumps one reference count, and an
+/// empty list holds no allocation at all (most class types are
+/// monomorphic, so most type-argument lists are empty).
+///
+/// It reads as a slice (`Deref<Target = [T]>`) and hashes, compares and
+/// debug-prints exactly like the `Vec<T>` it replaces. Build it from an
+/// iterator (`collect`), an array or a `Vec`; an exact-size iterator fills
+/// the shared allocation directly.
+pub struct SharedList<T>(Option<Arc<[T]>>);
+
+/// A shared list of types: type arguments, parameter types.
+pub type TypeList = SharedList<Type>;
+
+impl<T> SharedList<T> {
+    /// The empty list; holds no allocation.
+    pub const fn new() -> SharedList<T> {
+        SharedList(None)
+    }
+
+    /// The elements.
+    pub fn as_slice(&self) -> &[T] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+
+    /// True if both lists share one allocation (two empty lists do too).
+    pub fn ptr_eq(a: &SharedList<T>, b: &SharedList<T>) -> bool {
+        match (&a.0, &b.0) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+}
+
+impl<T> Clone for SharedList<T> {
+    fn clone(&self) -> SharedList<T> {
+        SharedList(self.0.clone())
+    }
+}
+
+impl<T> Default for SharedList<T> {
+    fn default() -> SharedList<T> {
+        SharedList::new()
+    }
+}
+
+impl<T> Deref for SharedList<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        self.as_slice()
+    }
+}
+
+impl<'a, T> IntoIterator for &'a SharedList<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+    fn into_iter(self) -> std::slice::Iter<'a, T> {
+        self.as_slice().iter()
+    }
+}
+
+impl<T> FromIterator<T> for SharedList<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> SharedList<T> {
+        let iter = iter.into_iter();
+        if iter.size_hint().1 == Some(0) {
+            return SharedList::new();
+        }
+        let items: Arc<[T]> = iter.collect();
+        SharedList((!items.is_empty()).then_some(items))
+    }
+}
+
+impl<T> From<Vec<T>> for SharedList<T> {
+    fn from(items: Vec<T>) -> SharedList<T> {
+        items.into_iter().collect()
+    }
+}
+
+impl<T, const N: usize> From<[T; N]> for SharedList<T> {
+    fn from(items: [T; N]) -> SharedList<T> {
+        items.into_iter().collect()
+    }
+}
+
+impl<T: Clone> SharedList<T> {
+    /// This list with `f` applied to each element, where `f` returns
+    /// `None` for an element it leaves unchanged; `None` when it changes
+    /// none, so the caller can share `self`. Unchanged elements of a
+    /// rebuilt list are cloned (for types: shared).
+    pub fn map_changed(&self, mut f: impl FnMut(&T) -> Option<T>) -> Option<SharedList<T>> {
+        let (at, first) = self
+            .iter()
+            .enumerate()
+            .find_map(|(i, t)| f(t).map(|m| (i, m)))?;
+        Some(
+            self[..at]
+                .iter()
+                .cloned()
+                .chain([first])
+                .chain(
+                    self[at + 1..]
+                        .iter()
+                        .map(|t| f(t).unwrap_or_else(|| t.clone())),
+                )
+                .collect(),
+        )
+    }
+}
+
+/// Element-wise, after a pointer-identity shortcut.
+impl<T: PartialEq> PartialEq for SharedList<T> {
+    fn eq(&self, other: &SharedList<T>) -> bool {
+        SharedList::ptr_eq(self, other) || self.as_slice() == other.as_slice()
+    }
+}
+
+impl<T: Eq> Eq for SharedList<T> {}
+
+/// Hashes as the slice does (length, then elements), like `Vec<T>`.
+impl<T: Hash> Hash for SharedList<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for SharedList<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+/// A MiniScala type: an immutable value with shared payloads (see the
+/// [module docs](self#sharing)). Cloning never allocates; build composite
+/// types once and clone them freely.
 ///
 /// # Examples
 ///
 /// ```
 /// use mini_ir::Type;
+/// use std::sync::Arc;
 /// let t = Type::Function {
-///     params: vec![Type::Int],
-///     ret: Box::new(Type::Boolean),
+///     params: [Type::Int].into(),
+///     ret: Arc::new(Type::Boolean),
 /// };
 /// assert!(t.is_function());
 /// assert!(!Type::Int.is_ref_like());
@@ -51,8 +205,8 @@ pub enum Type {
     Class {
         /// The class symbol.
         sym: SymbolId,
-        /// Type arguments; empty for monomorphic classes.
-        targs: Vec<Type>,
+        /// Type arguments; empty (and unallocated) for monomorphic classes.
+        targs: TypeList,
     },
     /// A reference to a type parameter.
     TypeParam(SymbolId),
@@ -63,32 +217,32 @@ pub enum Type {
     /// them).
     Method {
         /// Parameter types per parameter list.
-        params: Vec<Vec<Type>>,
+        params: SharedList<TypeList>,
         /// Result type.
-        ret: Box<Type>,
+        ret: Arc<Type>,
     },
     /// The type of a polymorphic method `[T1, ..., Tn](...)R`.
     Poly {
         /// The bound type parameters.
-        tparams: Vec<SymbolId>,
+        tparams: SharedList<SymbolId>,
         /// The underlying (usually method) type mentioning them.
-        underlying: Box<Type>,
+        underlying: Arc<Type>,
     },
     /// A by-name parameter type `=> T`; eliminated by `ElimByName`.
-    ByName(Box<Type>),
+    ByName(Arc<Type>),
     /// A repeated parameter type `T*`; eliminated by `ElimRepeated`.
-    Repeated(Box<Type>),
+    Repeated(Arc<Type>),
     /// An array type.
-    Array(Box<Type>),
+    Array(Arc<Type>),
     /// A function type `(T1, ..., Tn) => R`; a shorthand for `FunctionN`.
     Function {
         /// Parameter types.
-        params: Vec<Type>,
+        params: TypeList,
         /// Result type.
-        ret: Box<Type>,
+        ret: Arc<Type>,
     },
     /// A union type `A | B` (used by the optional `Splitter` extension).
-    Or(Box<Type>, Box<Type>),
+    Or(Arc<Type>, Arc<Type>),
 }
 
 impl Type {
@@ -145,7 +299,7 @@ impl Type {
     }
 
     /// The parameter lists of a method type (empty for non-methods).
-    pub fn param_lists(&self) -> &[Vec<Type>] {
+    pub fn param_lists(&self) -> &[TypeList] {
         match self {
             Type::Method { params, .. } => params,
             Type::Poly { underlying, .. } => underlying.param_lists(),
@@ -162,15 +316,31 @@ impl Type {
     }
 
     /// Substitutes type parameters `from[i] -> to[i]` throughout.
+    /// A type that mentions none of `from` is returned shared, not rebuilt.
     ///
     /// # Panics
     ///
     /// Panics if `from` and `to` have different lengths.
     pub fn subst(&self, from: &[SymbolId], to: &[Type]) -> Type {
         assert_eq!(from.len(), to.len(), "subst arity mismatch");
-        if from.is_empty() {
+        if from.is_empty() || !self.mentions(from) {
             return self.clone();
         }
+        // Parts that mention none of `from` are shared, not rebuilt.
+        let child = |t: &Arc<Type>| {
+            if t.mentions(from) {
+                Arc::new(t.subst(from, to))
+            } else {
+                Arc::clone(t)
+            }
+        };
+        let list = |ts: &TypeList| {
+            if ts.iter().any(|t| t.mentions(from)) {
+                ts.iter().map(|t| t.subst(from, to)).collect()
+            } else {
+                ts.clone()
+            }
+        };
         match self {
             Type::TypeParam(s) => {
                 for (i, f) in from.iter().enumerate() {
@@ -182,14 +352,11 @@ impl Type {
             }
             Type::Class { sym, targs } => Type::Class {
                 sym: *sym,
-                targs: targs.iter().map(|t| t.subst(from, to)).collect(),
+                targs: list(targs),
             },
             Type::Method { params, ret } => Type::Method {
-                params: params
-                    .iter()
-                    .map(|ps| ps.iter().map(|p| p.subst(from, to)).collect())
-                    .collect(),
-                ret: Box::new(ret.subst(from, to)),
+                params: params.iter().map(list).collect(),
+                ret: child(ret),
             },
             Type::Poly {
                 tparams,
@@ -203,17 +370,17 @@ impl Type {
                 let t2: Vec<Type> = keep.iter().map(|&i| to[i].clone()).collect();
                 Type::Poly {
                     tparams: tparams.clone(),
-                    underlying: Box::new(underlying.subst(&f2, &t2)),
+                    underlying: Arc::new(underlying.subst(&f2, &t2)),
                 }
             }
-            Type::ByName(t) => Type::ByName(Box::new(t.subst(from, to))),
-            Type::Repeated(t) => Type::Repeated(Box::new(t.subst(from, to))),
-            Type::Array(t) => Type::Array(Box::new(t.subst(from, to))),
+            Type::ByName(t) => Type::ByName(child(t)),
+            Type::Repeated(t) => Type::Repeated(child(t)),
+            Type::Array(t) => Type::Array(child(t)),
             Type::Function { params, ret } => Type::Function {
-                params: params.iter().map(|p| p.subst(from, to)).collect(),
-                ret: Box::new(ret.subst(from, to)),
+                params: list(params),
+                ret: child(ret),
             },
-            Type::Or(a, b) => Type::Or(Box::new(a.subst(from, to)), Box::new(b.subst(from, to))),
+            Type::Or(a, b) => Type::Or(child(a), child(b)),
             _ => self.clone(),
         }
     }
@@ -255,6 +422,36 @@ impl Type {
             }
             Type::Array(t) => t.is_erased(),
             _ => true,
+        }
+    }
+
+    /// Rebuilds a (possibly polymorphic) method type with `f` applied to
+    /// each parameter type, the result type and a `Poly`'s underlying
+    /// type, where `f` returns `None` for a part it leaves unchanged.
+    /// Returns `None` when no part changed, so the caller can share `self`;
+    /// unchanged parts of a rebuilt type are shared too. Not a method type:
+    /// `None`.
+    pub fn map_method_parts(&self, f: &mut impl FnMut(&Type) -> Option<Type>) -> Option<Type> {
+        match self {
+            Type::Method { params, ret } => {
+                let new_params = params.map_changed(|ps| ps.map_changed(&mut *f));
+                let new_ret = f(ret);
+                if new_params.is_none() && new_ret.is_none() {
+                    return None;
+                }
+                Some(Type::Method {
+                    params: new_params.unwrap_or_else(|| params.clone()),
+                    ret: new_ret.map_or_else(|| Arc::clone(ret), Arc::new),
+                })
+            }
+            Type::Poly {
+                tparams,
+                underlying,
+            } => f(underlying).map(|u| Type::Poly {
+                tparams: tparams.clone(),
+                underlying: Arc::new(u),
+            }),
+            _ => None,
         }
     }
 
@@ -348,15 +545,15 @@ mod tests {
     #[test]
     fn subst_replaces_type_params() {
         let t = Type::Function {
-            params: vec![Type::TypeParam(tp(1))],
-            ret: Box::new(Type::Array(Box::new(Type::TypeParam(tp(2))))),
+            params: [Type::TypeParam(tp(1))].into(),
+            ret: Arc::new(Type::Array(Arc::new(Type::TypeParam(tp(2))))),
         };
         let s = t.subst(&[tp(1), tp(2)], &[Type::Int, Type::Boolean]);
         assert_eq!(
             s,
             Type::Function {
-                params: vec![Type::Int],
-                ret: Box::new(Type::Array(Box::new(Type::Boolean))),
+                params: [Type::Int].into(),
+                ret: Arc::new(Type::Array(Arc::new(Type::Boolean))),
             }
         );
     }
@@ -364,8 +561,8 @@ mod tests {
     #[test]
     fn subst_respects_inner_binders() {
         let inner = Type::Poly {
-            tparams: vec![tp(1)],
-            underlying: Box::new(Type::TypeParam(tp(1))),
+            tparams: [tp(1)].into(),
+            underlying: Arc::new(Type::TypeParam(tp(1))),
         };
         let s = inner.subst(&[tp(1)], &[Type::Int]);
         // The inner [tp1] shadows the outer substitution.
@@ -373,10 +570,42 @@ mod tests {
     }
 
     #[test]
+    fn subst_shares_what_it_does_not_touch() {
+        let t = Type::Function {
+            params: [Type::TypeParam(tp(1)), Type::Array(Arc::new(Type::Int))].into(),
+            ret: Arc::new(Type::Str),
+        };
+        let Type::Function { params, ret } = &t else {
+            unreachable!()
+        };
+        let Type::Function {
+            params: new_params,
+            ret: new_ret,
+        } = t.subst(&[tp(1)], &[Type::Int])
+        else {
+            panic!("substitution keeps the shape");
+        };
+        assert_eq!(new_params[0], Type::Int);
+        let (Type::Array(before), Type::Array(after)) = (&params[1], &new_params[1]) else {
+            panic!("array parameter");
+        };
+        assert!(
+            Arc::ptr_eq(before, after),
+            "an unchanged parameter is shared"
+        );
+        assert!(Arc::ptr_eq(ret, &new_ret), "an unchanged result is shared");
+        // A type that mentions none of the parameters comes back whole.
+        let Type::Function { params: same, .. } = t.subst(&[tp(9)], &[Type::Int]) else {
+            unreachable!()
+        };
+        assert!(TypeList::ptr_eq(params, &same));
+    }
+
+    #[test]
     fn final_result_uncurries() {
         let t = Type::Method {
-            params: vec![vec![Type::Int], vec![Type::Boolean]],
-            ret: Box::new(Type::Str),
+            params: [[Type::Int].into(), [Type::Boolean].into()].into(),
+            ret: Arc::new(Type::Str),
         };
         assert_eq!(*t.final_result(), Type::Str);
         assert_eq!(t.param_count(), 2);
@@ -387,22 +616,22 @@ mod tests {
         assert!(Type::Int.is_erased());
         assert!(!Type::TypeParam(tp(3)).is_erased());
         assert!(!Type::Function {
-            params: vec![],
-            ret: Box::new(Type::Unit)
+            params: TypeList::new(),
+            ret: Arc::new(Type::Unit)
         }
         .is_erased());
         let generic = Type::Class {
             sym: tp(4),
-            targs: vec![Type::Int],
+            targs: [Type::Int].into(),
         };
         assert!(!generic.is_erased());
     }
 
     #[test]
     fn mentions_finds_nested_params() {
-        let t = Type::Array(Box::new(Type::Class {
+        let t = Type::Array(Arc::new(Type::Class {
             sym: tp(9),
-            targs: vec![Type::TypeParam(tp(5))],
+            targs: [Type::TypeParam(tp(5))].into(),
         }));
         assert!(t.mentions(&[tp(5)]));
         assert!(!t.mentions(&[tp(6)]));
@@ -411,9 +640,177 @@ mod tests {
     #[test]
     fn display_is_readable() {
         let t = Type::Function {
-            params: vec![Type::Int, Type::Boolean],
-            ret: Box::new(Type::Unit),
+            params: [Type::Int, Type::Boolean].into(),
+            ret: Arc::new(Type::Unit),
         };
         assert_eq!(t.to_string(), "(Int, Boolean) => Unit");
+    }
+
+    #[test]
+    fn a_clone_shares_its_payload() {
+        let t = Type::Method {
+            params: [[Type::Int, Type::Str].into()].into(),
+            ret: Arc::new(Type::Class {
+                sym: tp(7),
+                targs: [Type::Boolean].into(),
+            }),
+        };
+        let c = t.clone();
+        let (
+            Type::Method {
+                params: p1,
+                ret: r1,
+            },
+            Type::Method {
+                params: p2,
+                ret: r2,
+            },
+        ) = (&t, &c)
+        else {
+            unreachable!()
+        };
+        assert!(SharedList::ptr_eq(p1, p2), "parameter lists are shared");
+        assert!(Arc::ptr_eq(r1, r2), "the result type is shared");
+        assert_eq!(t, c);
+    }
+
+    #[test]
+    fn an_empty_type_list_holds_no_allocation() {
+        let empty: TypeList = Vec::new().into();
+        assert!(empty.0.is_none());
+        assert!(TypeList::new().0.is_none());
+        assert!(std::iter::empty::<Type>().collect::<TypeList>().0.is_none());
+        assert!((0..3)
+            .filter(|_| false)
+            .map(|_| Type::Int)
+            .collect::<TypeList>()
+            .0
+            .is_none());
+        assert!(TypeList::ptr_eq(&empty, &TypeList::new()));
+        let one: TypeList = [Type::Int].into();
+        assert!(one.0.is_some());
+        assert_eq!(&one[..], &[Type::Int]);
+    }
+
+    #[test]
+    fn debug_and_display_print_as_before_sharing() {
+        // Every composite variant; the expected text was printed by the
+        // representation with `Vec` lists and `Box` children.
+        let t = Type::Poly {
+            tparams: [tp(3)].into(),
+            underlying: Arc::new(Type::Method {
+                params: [
+                    TypeList::from([Type::TypeParam(tp(3))]),
+                    TypeList::from([
+                        Type::ByName(Arc::new(Type::Int)),
+                        Type::Array(Arc::new(Type::Str)),
+                    ]),
+                ]
+                .into(),
+                ret: Arc::new(Type::Repeated(Arc::new(Type::Or(
+                    Arc::new(Type::Class {
+                        sym: tp(9),
+                        targs: [Type::TermRef(tp(4))].into(),
+                    }),
+                    Arc::new(Type::Function {
+                        params: [Type::Unit].into(),
+                        ret: Arc::new(Type::Boolean),
+                    }),
+                )))),
+            }),
+        };
+        assert_eq!(
+            format!("{t:?}"),
+            "Poly { tparams: [sym#3], underlying: Method { params: [[TypeParam(sym#3)], \
+             [ByName(Int), Array(Str)]], ret: Repeated(Or(Class { sym: sym#9, targs: \
+             [TermRef(sym#4)] }, Function { params: [Unit], ret: Boolean })) } }"
+        );
+        assert_eq!(
+            t.to_string(),
+            "[tp#3](tp#3)(=> Int, Array[String])#9[ref#4] | (Unit) => Boolean*"
+        );
+    }
+
+    #[test]
+    fn erase_shares_what_erasure_leaves_unchanged() {
+        use crate::{Flags, Name, SymbolTable};
+        let mut tab = SymbolTable::new();
+        let m = Type::Method {
+            params: [[Type::Int, Type::Array(Arc::new(Type::Str))].into()].into(),
+            ret: Arc::new(Type::Boolean),
+        };
+        let (
+            Type::Method { params, ret },
+            Type::Method {
+                params: ep,
+                ret: er,
+            },
+        ) = (&m, &tab.erase(&m))
+        else {
+            panic!("a method erases to a method");
+        };
+        assert!(
+            SharedList::ptr_eq(params, ep),
+            "unchanged parameters are shared"
+        );
+        assert!(Arc::ptr_eq(ret, er), "an unchanged result is shared");
+        // A rebuilt method still shares its unchanged result.
+        let generic = Type::Method {
+            params: [[Type::TypeParam(tp(3))].into()].into(),
+            ret: Arc::clone(ret),
+        };
+        let Type::Method {
+            params: gp,
+            ret: gr,
+        } = tab.erase(&generic)
+        else {
+            panic!("a method erases to a method");
+        };
+        assert_eq!(&gp[0][..], &[Type::Any]);
+        assert!(Arc::ptr_eq(ret, &gr));
+        // The identity test is exact, not `is_erased`: zero parameter lists
+        // still become one, and a singleton type still widens.
+        let nullary = Type::Method {
+            params: SharedList::new(),
+            ret: Arc::new(Type::Int),
+        };
+        assert!(nullary.is_erased());
+        assert_eq!(
+            tab.erase(&nullary),
+            Type::Method {
+                params: [TypeList::new()].into(),
+                ret: Arc::new(Type::Int),
+            }
+        );
+        let root = tab.builtins().root_pkg;
+        let x = tab.new_term(root, Name::from("x"), Flags::EMPTY, Type::Int);
+        assert!(Type::TermRef(x).is_erased());
+        assert_eq!(tab.erase(&Type::TermRef(x)), Type::Int);
+    }
+
+    #[test]
+    fn a_type_fits_in_four_words_and_crosses_threads() {
+        assert!(std::mem::size_of::<Type>() <= 32);
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Type>();
+    }
+
+    #[test]
+    fn shared_lists_hash_and_print_like_vecs() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash_of<T: Hash + ?Sized>(v: &T) -> u64 {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        }
+        let items = vec![Type::Int, Type::Str];
+        let shared: TypeList = items.clone().into();
+        assert_eq!(hash_of(&shared), hash_of(&items));
+        assert_eq!(format!("{shared:?}"), format!("{items:?}"));
+        assert_eq!(format!("{shared:#?}"), format!("{items:#?}"));
+        let nested: SharedList<TypeList> = [shared.clone(), TypeList::new()].into();
+        let nested_vec = vec![items.clone(), Vec::new()];
+        assert_eq!(hash_of(&nested), hash_of(&nested_vec));
+        assert_eq!(format!("{nested:?}"), format!("{nested_vec:?}"));
     }
 }

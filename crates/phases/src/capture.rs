@@ -7,9 +7,11 @@
 
 use mini_ir::{
     std_names, Ctx, Flags, Name, NodeKind, NodeKindSet, SymKind, SymbolId, TreeKind, TreeRef, Type,
+    TypeList,
 };
 use miniphase::{MiniPhase, PhaseInfo};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Creates (once) a synthetic top-level class with the given field names and
 /// types, returning `(class, fields)`. Used for the `Ref` cell and the
@@ -61,8 +63,8 @@ fn raw_new(ctx: &mut Ctx, cls: SymbolId) -> TreeRef {
         mini_ir::Span::SYNTHETIC,
     );
     let m = Type::Method {
-        params: vec![vec![]],
-        ret: Box::new(Type::Unit),
+        params: [TypeList::new()].into(),
+        ret: Arc::new(Type::Unit),
     };
     let sel = ctx.select(new_node, std_names::init(), SymbolId::NONE, m);
     ctx.apply(sel, vec![], t)
@@ -461,14 +463,14 @@ impl MiniPhase for NonLocalReturns {
         let key_read = ctx.select(cast1, Name::intern("key"), key_f, Type::Int);
         let k_lit = ctx.lit_int(i64::from(sym.index()));
         let eq_m = Type::Method {
-            params: vec![vec![Type::Any]],
-            ret: Box::new(Type::Boolean),
+            params: [TypeList::from([Type::Any])].into(),
+            ret: Arc::new(Type::Boolean),
         };
         let eq_sel = ctx.select(key_read, Name::intern("=="), SymbolId::NONE, eq_m);
         let key_eq = ctx.apply(eq_sel, vec![k_lit], Type::Boolean);
         let and_m = Type::Method {
-            params: vec![vec![Type::Boolean]],
-            ret: Box::new(Type::Boolean),
+            params: [TypeList::from([Type::Boolean])].into(),
+            ret: Arc::new(Type::Boolean),
         };
         let and_sel = ctx.select(is_tok, Name::intern("&&"), SymbolId::NONE, and_m);
         let cond = ctx.apply(and_sel, vec![key_eq], Type::Boolean);

@@ -10,8 +10,11 @@
 //! and the symbol table shows every symbol erased from the start of the
 //! phase's group on (see [`mini_ir::SymbolTable::info_at`]).
 
-use mini_ir::{Ctx, InfoTransform, NodeKindSet, SymbolData, SymbolTable, TreeKind, TreeRef, Type};
+use mini_ir::{
+    Ctx, InfoTransform, NodeKindSet, SymbolData, SymbolTable, TreeKind, TreeRef, Type, TypeList,
+};
 use miniphase::{MiniPhase, PhaseInfo};
+use std::sync::Arc;
 
 /// The type-erasure phase.
 #[derive(Default)]
@@ -107,7 +110,7 @@ impl Erasure {
             }
             TreeKind::SeqLiteral { elems, elem_tpe } => {
                 let et = ctx.symbols.erase(elem_tpe);
-                let node_t = Type::Array(Box::new(et.clone()));
+                let node_t = Type::Array(Arc::new(et.clone()));
                 ctx.mk(
                     TreeKind::SeqLiteral {
                         elems: elems.clone(),
@@ -153,12 +156,18 @@ impl Erasure {
 fn transform_info(
     _sym: &SymbolData,
     info: &Type,
-    parents: &[Type],
+    parents: &TypeList,
     symbols: &SymbolTable,
-) -> Option<(Type, Vec<Type>)> {
-    let erased = symbols.erase(info);
-    let eparents: Vec<Type> = parents.iter().map(|p| symbols.erase(p)).collect();
-    (erased != *info || eparents != parents).then_some((erased, eparents))
+) -> Option<(Type, TypeList)> {
+    let erased = symbols.erase_changed(info);
+    let eparents = parents.map_changed(|p| symbols.erase_changed(p));
+    if erased.is_none() && eparents.is_none() {
+        return None;
+    }
+    Some((
+        erased.unwrap_or_else(|| info.clone()),
+        eparents.unwrap_or_else(|| parents.clone()),
+    ))
 }
 
 macro_rules! impl_erasure_hooks {

@@ -5,8 +5,10 @@
 use crate::simple::is_accessorable;
 use mini_ir::{
     Constant, Ctx, Flags, NodeKind, NodeKindSet, SymKind, SymbolId, TreeKind, TreeRef, Type,
+    TypeList,
 };
 use miniphase::{MiniPhase, PhaseInfo};
+use std::sync::Arc;
 
 // ======================= Getters ======================================
 
@@ -55,8 +57,8 @@ impl MiniPhase for Getters {
             let d = ctx.symbols.sym_mut(*sym);
             d.flags |= Flags::METHOD | Flags::ACCESSOR;
             d.set_info(Type::Method {
-                params: vec![vec![]],
-                ret: Box::new(value_t),
+                params: [TypeList::new()].into(),
+                ret: Arc::new(value_t),
             });
         }
         ctx.with_kind(
@@ -84,8 +86,8 @@ impl MiniPhase for Getters {
             return tree.clone();
         }
         let getter_t = Type::Method {
-            params: vec![vec![]],
-            ret: Box::new(value_t.clone()),
+            params: [TypeList::new()].into(),
+            ret: Arc::new(value_t.clone()),
         };
         let sel = ctx.select(qual.clone(), *name, *sym, getter_t);
         ctx.apply(sel, vec![], value_t)
@@ -164,8 +166,8 @@ impl LazyVals {
         let this1 = ctx.this_mono(cls);
         let flag_read = ctx.select(this1, ctx.symbols.sym(flag_f).name, flag_f, Type::Boolean);
         let not_t = Type::Method {
-            params: vec![vec![]],
-            ret: Box::new(Type::Boolean),
+            params: [TypeList::new()].into(),
+            ret: Arc::new(Type::Boolean),
         };
         let not_sel = ctx.select(flag_read, mini_ir::Name::intern("!"), SymbolId::NONE, not_t);
         let cond = ctx.apply(not_sel, vec![], Type::Boolean);
@@ -328,8 +330,8 @@ impl MiniPhase for LazyVals {
                 let dm = ctx.symbols.sym_mut(*sym);
                 dm.flags = dm.flags.without(Flags::LAZY) | Flags::METHOD | Flags::SYNTHETIC;
                 dm.set_info(Type::Method {
-                    params: vec![vec![]],
-                    ret: Box::new(value_t.clone()),
+                    params: [TypeList::new()].into(),
+                    ret: Arc::new(value_t.clone()),
                 });
             }
             let f = ctx.lit_bool(false);
@@ -339,8 +341,8 @@ impl MiniPhase for LazyVals {
             // def x(): T = { if (!flag) { value = rhs; flag = true }; value }
             let flag_read = ctx.ident(flag_sym);
             let not_t = Type::Method {
-                params: vec![vec![]],
-                ret: Box::new(Type::Boolean),
+                params: [TypeList::new()].into(),
+                ret: Arc::new(Type::Boolean),
             };
             let not_sel = ctx.select(flag_read, mini_ir::Name::intern("!"), SymbolId::NONE, not_t);
             let cond = ctx.apply(not_sel, vec![], Type::Boolean);
@@ -425,8 +427,8 @@ impl MiniPhase for LazyVals {
         }
         let value_t = tree.tpe().clone();
         let m_t = Type::Method {
-            params: vec![vec![]],
-            ret: Box::new(value_t.clone()),
+            params: [TypeList::new()].into(),
+            ret: Arc::new(value_t.clone()),
         };
         let f = ctx.retyped(tree, m_t);
         ctx.apply(f, vec![], value_t)

@@ -3,9 +3,10 @@
 
 use mini_ir::{
     std_names, Ctx, Flags, InfoTransform, NodeKind, NodeKindSet, SymKind, SymbolData, SymbolId,
-    SymbolTable, TreeKind, TreeRef, Type,
+    SymbolTable, TreeKind, TreeRef, Type, TypeList,
 };
 use miniphase::{MiniPhase, PhaseInfo};
+use std::sync::Arc;
 
 // ======================= TailRec ======================================
 
@@ -158,7 +159,7 @@ impl MiniPhase for TailRec {
         let info = ctx.symbols.info(*sym).into_owned();
         let label_name = ctx.fresh_name("tailLoop");
         let label = ctx.symbols.new_label(*sym, label_name, info);
-        ctx.symbols.sym_mut(label).decls = param_syms.clone();
+        ctx.symbols.set_decls(label, param_syms.clone());
         let mut found = false;
         let new_rhs = rewrite_tails(ctx, rhs, *sym, label, param_syms.len(), &mut found);
         if !found {
@@ -309,8 +310,8 @@ impl MiniPhase for LiftTry {
             name,
             Flags::METHOD | Flags::SYNTHETIC,
             Type::Method {
-                params: vec![vec![]],
-                ret: Box::new(t.clone()),
+                params: [TypeList::new()].into(),
+                ret: Arc::new(t.clone()),
             },
         );
         let def = ctx.mk(
@@ -354,26 +355,17 @@ impl PhaseInfo for ElimByName {
 
 /// `ElimByName`'s type map: `=> T` becomes `() => T` in a signature.
 pub fn strip_by_name(t: &Type) -> Type {
+    strip_by_name_changed(t).unwrap_or_else(|| t.clone())
+}
+
+/// [`strip_by_name`], or `None` when it leaves `t` unchanged.
+fn strip_by_name_changed(t: &Type) -> Option<Type> {
     match t {
-        Type::ByName(inner) => Type::Function {
-            params: vec![],
-            ret: Box::new(strip_by_name(inner)),
-        },
-        Type::Method { params, ret } => Type::Method {
-            params: params
-                .iter()
-                .map(|ps| ps.iter().map(strip_by_name).collect())
-                .collect(),
-            ret: Box::new(strip_by_name(ret)),
-        },
-        Type::Poly {
-            tparams,
-            underlying,
-        } => Type::Poly {
-            tparams: tparams.clone(),
-            underlying: Box::new(strip_by_name(underlying)),
-        },
-        other => other.clone(),
+        Type::ByName(inner) => Some(Type::Function {
+            params: TypeList::new(),
+            ret: Arc::new(strip_by_name(inner)),
+        }),
+        _ => t.map_method_parts(&mut strip_by_name_changed),
     }
 }
 
@@ -381,11 +373,10 @@ pub fn strip_by_name(t: &Type) -> Type {
 fn transform_info(
     _sym: &SymbolData,
     info: &Type,
-    parents: &[Type],
+    parents: &TypeList,
     _symbols: &SymbolTable,
-) -> Option<(Type, Vec<Type>)> {
-    let stripped = strip_by_name(info);
-    (stripped != *info).then(|| (stripped, parents.to_vec()))
+) -> Option<(Type, TypeList)> {
+    strip_by_name_changed(info).map(|stripped| (stripped, parents.clone()))
 }
 
 impl MiniPhase for ElimByName {
@@ -415,8 +406,8 @@ impl MiniPhase for ElimByName {
         for (i, a) in args.iter().enumerate() {
             if let Some(Type::ByName(inner)) = ps.get(i) {
                 let thunk_t = Type::Function {
-                    params: vec![],
-                    ret: Box::new((**inner).clone()),
+                    params: TypeList::new(),
+                    ret: Arc::clone(inner),
                 };
                 let thunk = ctx.mk(
                     TreeKind::Lambda {
@@ -432,7 +423,7 @@ impl MiniPhase for ElimByName {
             }
         }
         let new_fun_t = Type::Method {
-            params: vec![ps.iter().map(strip_by_name).collect()],
+            params: [ps.iter().map(strip_by_name).collect()].into(),
             ret: ret.clone(),
         };
         let new_fun = ctx.retyped(fun, new_fun_t);
@@ -459,8 +450,8 @@ impl MiniPhase for ElimByName {
             other => other.clone(),
         };
         let fn_t = Type::Function {
-            params: vec![],
-            ret: Box::new(inner.clone()),
+            params: TypeList::new(),
+            ret: Arc::new(inner.clone()),
         };
         let thunk_ref = ctx.retyped(tree, fn_t.clone());
         let (apply_sym, apply_t) = ctx

@@ -16,9 +16,11 @@
 use crate::util::rewrite_refs;
 use mini_ir::{
     std_names, Ctx, Flags, Name, NodeKind, NodeKindSet, SymKind, SymbolId, TreeKind, TreeRef, Type,
+    TypeList,
 };
 use miniphase::{MiniPhase, PhaseInfo};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// The lambda-lifting phase.
 #[derive(Default)]
@@ -227,18 +229,17 @@ impl LambdaLift {
             }
             let info = ctx.symbols.info(*d).into_owned();
             if let Type::Method { params, ret } = info {
-                let mut ps = params;
-                let cap_types: Vec<Type> = caps
+                let (first, rest) = params
+                    .split_first()
+                    .map_or((&[][..], &[][..]), |(f, r)| (&f[..], r));
+                let new_first: TypeList = caps
                     .iter()
                     .map(|&v| ctx.symbols.info(v).into_owned())
+                    .chain(first.iter().cloned())
                     .collect();
-                if let Some(first) = ps.first_mut() {
-                    let mut new_first = cap_types;
-                    new_first.extend(first.iter().cloned());
-                    *first = new_first;
-                } else {
-                    ps.push(cap_types);
-                }
+                let ps = std::iter::once(new_first)
+                    .chain(rest.iter().cloned())
+                    .collect();
                 ctx.symbols
                     .sym_mut(*d)
                     .set_info(Type::Method { params: ps, ret });
@@ -473,7 +474,7 @@ impl MiniPhase for LambdaLift {
             _ => None,
         });
         // apply method.
-        let param_types: Vec<Type> = params
+        let param_types: TypeList = params
             .iter()
             .map(|p| ctx.symbols.info(p.def_sym()).into_owned())
             .collect();
@@ -482,8 +483,8 @@ impl MiniPhase for LambdaLift {
             std_names::apply(),
             Flags::METHOD | Flags::SYNTHETIC,
             Type::Method {
-                params: vec![param_types],
-                ret: Box::new(new_body.tpe().clone()),
+                params: [param_types].into(),
+                ret: Arc::new(new_body.tpe().clone()),
             },
         );
         body_defs.push(ctx.mk(
@@ -522,8 +523,8 @@ impl MiniPhase for LambdaLift {
             tree.span(),
         );
         let ctor_m = Type::Method {
-            params: vec![vec![]],
-            ret: Box::new(Type::Unit),
+            params: [TypeList::new()].into(),
+            ret: Arc::new(Type::Unit),
         };
         let ctor_sel = ctx.select(new_node, std_names::init(), SymbolId::NONE, ctor_m);
         let alloc = ctx.apply(ctor_sel, vec![], anon_t);

@@ -7,9 +7,10 @@
 //! synthesized `{Trait}$init` method for traits.
 
 use mini_ir::{
-    std_names, Ctx, Flags, Name, NodeKind, NodeKindSet, SymbolId, TreeKind, TreeRef, Type,
+    std_names, Ctx, Flags, Name, NodeKind, NodeKindSet, SymbolId, TreeKind, TreeRef, Type, TypeList,
 };
 use miniphase::{MiniPhase, PhaseInfo};
+use std::sync::Arc;
 
 /// The per-trait initializer method name.
 pub fn trait_init_name(ctx: &Ctx, trait_sym: SymbolId) -> Name {
@@ -84,8 +85,8 @@ impl MiniPhase for Mixin {
             let name = trait_init_name(ctx, t);
             let this = ctx.this_mono(cls);
             let m = Type::Method {
-                params: vec![vec![]],
-                ret: Box::new(Type::Unit),
+                params: [TypeList::new()].into(),
+                ret: Arc::new(Type::Unit),
             };
             let init_sym = ctx.symbols.decl(t, name).unwrap_or(SymbolId::NONE);
             let sel = ctx.select(this, name, init_sym, m);
@@ -161,8 +162,8 @@ impl Constructors {
                 name,
                 Flags::METHOD | Flags::SYNTHETIC,
                 Type::Method {
-                    params: vec![vec![]],
-                    ret: Box::new(Type::Unit),
+                    params: [TypeList::new()].into(),
+                    ret: Arc::new(Type::Unit),
                 },
             ),
         };

@@ -2,7 +2,7 @@
 //! `this` references to outer classes into `$outer` chains.
 
 use mini_ir::{
-    std_names, Ctx, Flags, Name, NodeKind, NodeKindSet, SymbolId, TreeKind, TreeRef, Type,
+    std_names, Ctx, Flags, Name, NodeKind, NodeKindSet, SymbolId, TreeKind, TreeRef, Type, TypeList,
 };
 use miniphase::{MiniPhase, PhaseInfo};
 
@@ -84,10 +84,13 @@ impl MiniPhase for ExplicitOuter {
             );
             if let Some(ctor) = ctx.symbols.decl(cls, std_names::init()) {
                 if let Type::Method { params, ret } = ctx.symbols.info(ctor).into_owned() {
-                    let mut ps = params;
-                    if let Some(first) = ps.first_mut() {
-                        first.push(outer_t);
-                    }
+                    let ps = match params.split_first() {
+                        Some((first, rest)) => {
+                            let first: TypeList = first.iter().cloned().chain([outer_t]).collect();
+                            std::iter::once(first).chain(rest.iter().cloned()).collect()
+                        }
+                        None => params,
+                    };
                     ctx.symbols
                         .sym_mut(ctor)
                         .set_info(Type::Method { params: ps, ret });
@@ -150,7 +153,7 @@ impl MiniPhase for ExplicitOuter {
         let expected = ctx
             .symbols
             .sym(cls)
-            .decls
+            .decls()
             .iter()
             .filter(|&&d| {
                 let sd = ctx.symbols.sym(d);

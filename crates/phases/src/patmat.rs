@@ -27,9 +27,10 @@
 
 use crate::util::OwnerStack;
 use mini_ir::{
-    Constant, Ctx, Flags, Name, NodeKind, NodeKindSet, SymbolId, TreeKind, TreeRef, Type,
+    Constant, Ctx, Flags, Name, NodeKind, NodeKindSet, SymbolId, TreeKind, TreeRef, Type, TypeList,
 };
 use miniphase::{MiniPhase, PhaseInfo};
+use std::sync::Arc;
 
 /// The pattern-match compilation phase.
 #[derive(Default)]
@@ -70,8 +71,8 @@ impl PatternMatcher {
                 let sel_ref = ctx.ident(sel);
                 let lit = ctx.lit(*value, pat.span());
                 let m = Type::Method {
-                    params: vec![vec![Type::Any]],
-                    ret: Box::new(Type::Boolean),
+                    params: [TypeList::from([Type::Any])].into(),
+                    ret: Arc::new(Type::Boolean),
                 };
                 let sel_eq = ctx.select(sel_ref, Name::intern("=="), SymbolId::NONE, m);
                 ctx.apply(sel_eq, vec![lit], Type::Boolean)
@@ -119,8 +120,8 @@ impl PatternMatcher {
                         None => t,
                         Some(prev) => {
                             let m = Type::Method {
-                                params: vec![vec![Type::Boolean]],
-                                ret: Box::new(Type::Boolean),
+                                params: [TypeList::from([Type::Boolean])].into(),
+                                ret: Arc::new(Type::Boolean),
                             };
                             let or = ctx.select(prev, Name::intern("||"), SymbolId::NONE, m);
                             ctx.apply(or, vec![t], Type::Boolean)
@@ -134,8 +135,8 @@ impl PatternMatcher {
             _ => {
                 let sel_ref = ctx.ident(sel);
                 let m = Type::Method {
-                    params: vec![vec![Type::Any]],
-                    ret: Box::new(Type::Boolean),
+                    params: [TypeList::from([Type::Any])].into(),
+                    ret: Arc::new(Type::Boolean),
                 };
                 let eq = ctx.select(sel_ref, Name::intern("=="), SymbolId::NONE, m);
                 ctx.apply(eq, vec![pat.clone()], Type::Boolean)
@@ -179,8 +180,8 @@ impl PatternMatcher {
                 name,
                 Flags::METHOD | Flags::SYNTHETIC,
                 Type::Method {
-                    params: vec![vec![]],
-                    ret: Box::new(result_t.clone()),
+                    params: [TypeList::new()].into(),
+                    ret: Arc::new(result_t.clone()),
                 },
             )
         };

@@ -5,9 +5,10 @@
 use crate::util::OwnerStack;
 use mini_ir::{
     std_names, Constant, Ctx, Flags, InfoTransform, Name, NodeKind, NodeKindSet, SymKind,
-    SymbolData, SymbolId, SymbolTable, TreeKind, TreeRef, Type,
+    SymbolData, SymbolId, SymbolTable, TreeKind, TreeRef, Type, TypeList,
 };
 use miniphase::{MiniPhase, PhaseInfo};
+use std::sync::Arc;
 
 // ======================= FirstTransform ================================
 
@@ -19,6 +20,8 @@ use miniphase::{MiniPhase, PhaseInfo};
 #[derive(Default)]
 pub struct FirstTransform;
 
+/// A method type with its parameter lists flattened into one; any other
+/// type (and a method that already has one list) comes back shared.
 fn flatten_method_type(t: &Type) -> Type {
     match t {
         Type::Poly {
@@ -26,10 +29,10 @@ fn flatten_method_type(t: &Type) -> Type {
             underlying,
         } => Type::Poly {
             tparams: tparams.clone(),
-            underlying: Box::new(flatten_method_type(underlying)),
+            underlying: Arc::new(flatten_method_type(underlying)),
         },
-        Type::Method { params, ret } => Type::Method {
-            params: vec![params.iter().flatten().cloned().collect()],
+        Type::Method { params, ret } if params.len() != 1 => Type::Method {
+            params: [params.iter().flatten().cloned().collect::<TypeList>()].into(),
             ret: ret.clone(),
         },
         other => other.clone(),
@@ -252,8 +255,8 @@ impl MiniPhase for InterceptedMethods {
         }
         let equals = ctx.symbols.builtins().equals_meth;
         let m = Type::Method {
-            params: vec![vec![Type::Any]],
-            ret: Box::new(Type::Boolean),
+            params: [TypeList::from([Type::Any])].into(),
+            ret: Arc::new(Type::Boolean),
         };
         let sel = ctx.select(qual.clone(), std_names::equals(), equals, m);
         let call = ctx.apply(sel, args.clone(), Type::Boolean);
@@ -261,8 +264,8 @@ impl MiniPhase for InterceptedMethods {
             call
         } else {
             let not_m = Type::Method {
-                params: vec![vec![]],
-                ret: Box::new(Type::Boolean),
+                params: [TypeList::new()].into(),
+                ret: Arc::new(Type::Boolean),
             };
             let not_sel = ctx.select(call, Name::intern("!"), SymbolId::NONE, not_m);
             ctx.apply(not_sel, vec![], Type::Boolean)
@@ -304,23 +307,14 @@ impl PhaseInfo for ElimRepeated {
 /// `ElimRepeated`'s type map: `Repeated(T)` becomes `Array(T)` in a
 /// signature.
 pub fn strip_repeated(t: &Type) -> Type {
+    strip_repeated_changed(t).unwrap_or_else(|| t.clone())
+}
+
+/// [`strip_repeated`], or `None` when it leaves `t` unchanged.
+fn strip_repeated_changed(t: &Type) -> Option<Type> {
     match t {
-        Type::Repeated(e) => Type::Array(Box::new(strip_repeated(e))),
-        Type::Method { params, ret } => Type::Method {
-            params: params
-                .iter()
-                .map(|ps| ps.iter().map(strip_repeated).collect())
-                .collect(),
-            ret: Box::new(strip_repeated(ret)),
-        },
-        Type::Poly {
-            tparams,
-            underlying,
-        } => Type::Poly {
-            tparams: tparams.clone(),
-            underlying: Box::new(strip_repeated(underlying)),
-        },
-        other => other.clone(),
+        Type::Repeated(e) => Some(Type::Array(Arc::new(strip_repeated(e)))),
+        _ => t.map_method_parts(&mut strip_repeated_changed),
     }
 }
 
@@ -328,11 +322,10 @@ pub fn strip_repeated(t: &Type) -> Type {
 fn transform_info(
     _sym: &SymbolData,
     info: &Type,
-    parents: &[Type],
+    parents: &TypeList,
     _symbols: &SymbolTable,
-) -> Option<(Type, Vec<Type>)> {
-    let stripped = strip_repeated(info);
-    (stripped != *info).then(|| (stripped, parents.to_vec()))
+) -> Option<(Type, TypeList)> {
+    strip_repeated_changed(info).map(|stripped| (stripped, parents.clone()))
 }
 
 impl MiniPhase for ElimRepeated {
@@ -377,12 +370,15 @@ impl MiniPhase for ElimRepeated {
         };
         new_args.push(wrapped);
         // Retype the function tree with the array signature.
-        let mut new_ps: Vec<Type> = ps[..fixed].to_vec();
-        new_ps.push(Type::Array(elem.clone()));
+        let new_ps: TypeList = ps[..fixed]
+            .iter()
+            .cloned()
+            .chain([Type::Array(elem.clone())])
+            .collect();
         let new_fun = ctx.retyped(
             fun,
             Type::Method {
-                params: vec![new_ps],
+                params: [new_ps].into(),
                 ret: ret.clone(),
             },
         );
@@ -443,7 +439,7 @@ impl MiniPhase for SeqLiterals {
         let TreeKind::SeqLiteral { elems, elem_tpe } = tree.kind() else {
             return tree.clone();
         };
-        let arr_t = Type::Array(Box::new(elem_tpe.clone()));
+        let arr_t = Type::Array(Arc::new(elem_tpe.clone()));
         let owner = ctx.symbols.builtins().root_pkg;
         let name = ctx.fresh_name("seq");
         let arr_sym = ctx
@@ -455,8 +451,8 @@ impl MiniPhase for SeqLiterals {
             tree.span(),
         );
         let ctor_t = Type::Method {
-            params: vec![vec![Type::Int]],
-            ret: Box::new(arr_t.clone()),
+            params: [TypeList::from([Type::Int])].into(),
+            ret: Arc::new(arr_t.clone()),
         };
         let ctor = ctx.select(new_node, std_names::init(), SymbolId::NONE, ctor_t);
         let len = ctx.lit_int(elems.len() as i64);
@@ -466,8 +462,8 @@ impl MiniPhase for SeqLiterals {
         for (i, e) in elems.iter().enumerate() {
             let a_ref = ctx.ident(arr_sym);
             let upd_t = Type::Method {
-                params: vec![vec![Type::Int, elem_tpe.clone()]],
-                ret: Box::new(Type::Unit),
+                params: [TypeList::from([Type::Int, elem_tpe.clone()])].into(),
+                ret: Arc::new(Type::Unit),
             };
             let upd = ctx.select(a_ref, Name::intern("update"), SymbolId::NONE, upd_t);
             let idx = ctx.lit_int(i as i64);
@@ -589,11 +585,8 @@ impl MiniPhase for Flatten {
                 let pkg = ctx.symbols.builtins().root_pkg;
                 let inner_name = ctx.symbols.sym(*inner).name;
                 let flat = Name::intern(&format!("{outer_name}${inner_name}"));
-                {
-                    let d = ctx.symbols.sym_mut(*inner);
-                    d.name = flat;
-                    d.owner = pkg;
-                }
+                ctx.symbols.rename(*inner, flat);
+                ctx.symbols.sym_mut(*inner).owner = pkg;
                 self.pending.push(m.clone());
             } else {
                 kept.push(m.clone());
@@ -678,7 +671,7 @@ impl MiniPhase for RestoreScopes {
                 }
             }
         }
-        ctx.symbols.sym_mut(*sym).decls = decls;
+        ctx.symbols.set_decls(*sym, decls);
         tree.clone()
     }
 
@@ -691,9 +684,9 @@ impl MiniPhase for RestoreScopes {
             if d.exists() {
                 ctx.symbols.sym_mut(d).owner = *pkg;
                 if ctx.symbols.decl(*pkg, ctx.symbols.sym(d).name) != Some(d) {
-                    let already = ctx.symbols.sym(*pkg).decls.contains(&d);
+                    let already = ctx.symbols.sym(*pkg).decls().contains(&d);
                     if !already {
-                        ctx.symbols.sym_mut(*pkg).decls.push(d);
+                        ctx.symbols.push_decl(*pkg, d);
                     }
                 }
             }

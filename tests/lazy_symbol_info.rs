@@ -22,7 +22,7 @@ use miniphases::mini_driver::{compile_sources, standard_plan, CompileSession, Co
 use miniphases::mini_ir::printer::{print_tree, print_type};
 use miniphases::mini_ir::visit::for_each_subtree;
 use miniphases::mini_ir::{
-    Ctx, InfoTransform, NodeKindSet, ShardGrowth, SymbolId, SymbolTable, TreeRef, Type,
+    Ctx, InfoTransform, NodeKindSet, ShardGrowth, SymbolId, SymbolTable, TreeRef, Type, TypeList,
 };
 use miniphases::mini_phases::flow::strip_by_name;
 use miniphases::mini_phases::simple::strip_repeated;
@@ -150,7 +150,7 @@ macro_rules! delegate_hooks {
                     let ids: Vec<_> = ctx.symbols.ids().collect();
                     for id in ids {
                         let info = ctx.symbols.info(id).into_owned();
-                        let parents = ctx.symbols.parents(id).into_owned();
+                        let parents: TypeList = ctx.symbols.parents(id).into_owned().into();
                         let data = ctx.symbols.sym(id);
                         if let Some((i, p)) = (self.sweep)(data, &info, &parents, &ctx.symbols) {
                             let d = ctx.symbols.sym_mut(id);
@@ -192,25 +192,25 @@ fn sweep_of(name: &str) -> InfoTransform {
     fn repeated(
         _: &miniphases::mini_ir::SymbolData,
         info: &Type,
-        parents: &[Type],
+        parents: &TypeList,
         _: &SymbolTable,
-    ) -> Option<(Type, Vec<Type>)> {
-        Some((strip_repeated(info), parents.to_vec()))
+    ) -> Option<(Type, TypeList)> {
+        Some((strip_repeated(info), parents.clone()))
     }
     fn by_name(
         _: &miniphases::mini_ir::SymbolData,
         info: &Type,
-        parents: &[Type],
+        parents: &TypeList,
         _: &SymbolTable,
-    ) -> Option<(Type, Vec<Type>)> {
-        Some((strip_by_name(info), parents.to_vec()))
+    ) -> Option<(Type, TypeList)> {
+        Some((strip_by_name(info), parents.clone()))
     }
     fn erasure(
         _: &miniphases::mini_ir::SymbolData,
         info: &Type,
-        parents: &[Type],
+        parents: &TypeList,
         tab: &SymbolTable,
-    ) -> Option<(Type, Vec<Type>)> {
+    ) -> Option<(Type, TypeList)> {
         Some((
             tab.erase(info),
             parents.iter().map(|p| tab.erase(p)).collect(),
